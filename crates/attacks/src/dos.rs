@@ -17,11 +17,10 @@ use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::World;
 use platoon_v2x::message::{ChannelKind, Frame, NodeId, Position};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the join-flood DoS.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JoinFloodConfig {
     /// Requests injected per second.
     pub rate_per_second: f64,

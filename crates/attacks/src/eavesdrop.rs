@@ -20,12 +20,11 @@ use platoon_sim::world::World;
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{Delivery, NodeId, Position};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
 /// Configuration of the eavesdropper.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EavesdropConfig {
     /// Attacker radio node.
     pub attacker_node: u64,
@@ -49,7 +48,7 @@ impl Default for EavesdropConfig {
 }
 
 /// A reconstructed trajectory point.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrackPoint {
     /// Receive time.
     pub time: f64,

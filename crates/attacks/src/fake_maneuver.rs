@@ -17,11 +17,10 @@ use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::World;
 use platoon_v2x::message::{ChannelKind, Frame, NodeId, Position};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Which forged manoeuvre is injected.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ManeuverForgery {
     /// Fake split: the trailing part of the platoon breaks away.
     Split {
@@ -44,7 +43,7 @@ pub enum ManeuverForgery {
 }
 
 /// Configuration of the fake-manoeuvre attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FakeManeuverConfig {
     /// The forgery to inject.
     pub forgery: ManeuverForgery,

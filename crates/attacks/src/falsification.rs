@@ -14,11 +14,10 @@
 use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::{BeaconLie, World};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the insider falsification attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FalsificationConfig {
     /// Index of the malicious member.
     pub insider_index: usize,
@@ -31,7 +30,7 @@ pub struct FalsificationConfig {
 }
 
 /// Serializable mirror of [`BeaconLie`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BeaconLieConfig {
     /// Position offset, metres.
     pub position_offset: f64,

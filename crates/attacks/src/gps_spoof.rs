@@ -17,11 +17,10 @@ use platoon_dynamics::sensors::SensorFault;
 use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::World;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the GPS spoofing attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GpsSpoofConfig {
     /// Index of the victim vehicle.
     pub victim_index: usize,

@@ -18,11 +18,10 @@ use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::World;
 use platoon_v2x::message::{ChannelKind, Frame, NodeId, Position};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the impersonation attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ImpersonationConfig {
     /// The stolen identity (a platoon member's principal id).
     pub victim: u64,

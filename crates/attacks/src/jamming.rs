@@ -14,11 +14,10 @@ use platoon_sim::world::World;
 use platoon_v2x::jamming::{Jammer, JammingStrategy};
 use platoon_v2x::message::ChannelKind;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the jamming attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JammingConfig {
     /// When the jammer switches on, seconds.
     pub start: f64,

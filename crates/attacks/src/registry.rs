@@ -2,10 +2,9 @@
 //! row bound to the module that implements it.
 
 use platoon_sim::attack::SecurityAttribute;
-use serde::{Deserialize, Serialize};
 
 /// Platoon assets an attack targets (the §IV asset inventory).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Asset {
     /// The platoon leader.
     Leader,
@@ -24,7 +23,7 @@ pub enum Asset {
 }
 
 /// One row of the canonical attack catalogue (Table II).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AttackDescriptor {
     /// Machine name, matching `Attack::name()` of the implementation.
     pub name: &'static str,

@@ -18,11 +18,10 @@ use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload, Position};
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the replay attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReplayConfig {
     /// Start of the recording window, seconds.
     pub record_from: f64,

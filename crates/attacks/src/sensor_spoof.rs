@@ -18,11 +18,10 @@ use platoon_dynamics::sensors::SensorFault;
 use platoon_sim::attack::{Attack, SecurityAttribute};
 use platoon_sim::world::World;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// What is done to the victim's radar.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SensorAttackMode {
     /// Blind the sensor entirely.
     Jam,
@@ -39,7 +38,7 @@ pub enum SensorAttackMode {
 }
 
 /// Configuration of the sensor attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SensorSpoofConfig {
     /// Index of the victim vehicle.
     pub victim_index: usize,

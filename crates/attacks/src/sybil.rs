@@ -21,12 +21,11 @@ use platoon_sim::world::World;
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Position};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashSet;
 
 /// Configuration of the Sybil attack.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SybilConfig {
     /// Number of ghost identities fabricated.
     pub ghost_count: usize,

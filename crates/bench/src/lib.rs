@@ -1,19 +1,12 @@
 //! # platoon-bench
 //!
-//! The benchmark and report harness of the reproduction: regenerates every
-//! table and figure of Taylor et al. (DSN-W 2021) from the living code.
-//!
-//! * `cargo run -p platoon-bench --bin report` — prints Tables I–IV, the
-//!   risk assessment and figures F1–F10 at full effort (the EXPERIMENTS.md
-//!   source of truth). Pass `--quick` for a fast pass.
-//! * `cargo bench -p platoon-bench` — Criterion timing of the simulator,
-//!   crypto substrate and experiment suite.
+//! Criterion timing of the simulator, crypto substrate and experiment
+//! suite (`cargo bench -p platoon-bench`). The table and figure report is
+//! the root binary's `report` command.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use platoon_core::experiments::{figures, table2, table3, table4};
-use platoon_core::{risk, surveys};
 use platoon_sim::harness::{Batch, BatchReport};
 use platoon_sim::prelude::{AuthMode, ControllerKind, RunSummary, Scenario};
 
@@ -52,32 +45,6 @@ pub fn bench_report(workers: usize) -> BatchReport {
     bench_batch().run_report(workers)
 }
 
-/// Generates the full textual report (all tables + figures).
-pub fn full_report(quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str(&surveys::render_table1().render());
-    out.push('\n');
-    out.push_str(&surveys::render_coverage_matrix().render());
-    out.push('\n');
-    out.push_str(&table2::render(&table2::run(quick)).render());
-    out.push('\n');
-    out.push_str(&table3::render(&table3::run(quick)).render());
-    out.push('\n');
-    out.push_str(&table4::render(&table4::run(quick)).render());
-    out.push('\n');
-    out.push_str(&risk::render_risk_table().render());
-    out.push('\n');
-    for fig in figures::all_figures(quick) {
-        out.push_str(&fig.render());
-        out.push('\n');
-    }
-    for table in platoon_core::experiments::ablations::all_ablations(quick) {
-        out.push_str(&table.render());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -85,15 +52,5 @@ mod tests {
         let serial = super::bench_report(1).to_canonical_json();
         let parallel = super::bench_report(4).to_canonical_json();
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn report_contains_all_sections() {
-        // The taxonomy/risk parts render instantly; the sim-backed parts are
-        // exercised by the per-experiment tests in platoon-core.
-        let t1 = platoon_core::surveys::render_table1().render();
-        let risk = platoon_core::risk::render_risk_table().render();
-        assert!(t1.contains("Table I"));
-        assert!(risk.contains("Risk assessment"));
     }
 }

@@ -1,149 +1,78 @@
-//! The `campaign` subcommand (root binary and the bench report binary).
+//! The `campaign` subcommand.
 
 use crate::search::{self, CampaignConfig, Evaluator};
 use platoon_core::experiments::common::EXPERIMENT_BASE_SEED;
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::harness::golden;
-use std::path::{Path, PathBuf};
 
-/// Writes `CAMPAIGN_<label>.json` into `out_dir`.
-fn write_report_file(document: &str, label: &str, out_dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("CAMPAIGN_{label}.json"));
-    std::fs::write(&path, document)?;
-    Ok(path)
-}
+/// The `campaign` subcommand.
+pub const COMMAND: Command = Command {
+    name: "campaign",
+    summary: "adversarial stealth-vs-damage parameter search, written to CAMPAIGN_<label>.json",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::value(
+            "--seed",
+            "N",
+            "campaign seed (default: the experiment base seed); same seed, same document",
+        ),
+        Flag::value(
+            "--server",
+            "ADDR",
+            "evaluate cells on a running server, whose cache dedupes repeats",
+        ),
+        Flag::value(
+            "--attacks",
+            "LIST",
+            "comma-separated attacks to search instead of the effort default",
+        ),
+    ],
+    run: cli_main,
+};
 
-/// Entry point for the `campaign` subcommand. Returns the process exit
-/// code.
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut seed = EXPERIMENT_BASE_SEED;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut server: Option<String> = None;
-    let mut attacks: Option<Vec<String>> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--seed" => {
-                    seed = value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?
-                }
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--server" => server = Some(value("--server")?),
-                "--attacks" => {
-                    attacks = Some(
-                        value("--attacks")?
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect(),
-                    )
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: campaign [--quick] [--seed N] [--workers N] [--out DIR]\n\
-                         \x20               [--check-golden PATH] [--server ADDR] [--attacks a,b]\n\
-                         \x20 --quick          small search over three attacks (the CI smoke grid)\n\
-                         \x20 --seed N         campaign seed (default: {EXPERIMENT_BASE_SEED}); same seed,\n\
-                         \x20                  byte-identical CAMPAIGN_<label>.json\n\
-                         \x20 --workers N      in-process worker threads (default: available parallelism)\n\
-                         \x20 --out DIR        where CAMPAIGN_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --server ADDR    evaluate cells on a running platoon-server (its\n\
-                         \x20                  content-addressed cache dedupes repeated cells)\n\
-                         \x20 --attacks LIST   comma-separated attack names to search instead of\n\
-                         \x20                  the effort default"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let seed = args.parse("--seed")?.unwrap_or(EXPERIMENT_BASE_SEED);
+    let mut config = CampaignConfig::new(args.quick(), seed);
+    if let Some(list) = args.value("--attacks") {
+        config.attacks = list
+            .split(',')
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(str::to_string)
+            .collect();
+        if let Some(a) = config
+            .attacks
+            .iter()
+            .find(|a| platoon_attacks::params::param_space(a).is_none())
+        {
+            return Err(Exit::Usage(format!("no parameter space for attack {a:?}")));
         }
     }
 
-    let mut config = CampaignConfig::new(quick, seed);
-    if let Some(list) = attacks {
-        for a in &list {
-            if platoon_attacks::params::param_space(a).is_none() {
-                eprintln!("error: no parameter space for attack {a:?}");
-                return 2;
-            }
+    let mut evaluator = match args.value("--server") {
+        Some(addr) => {
+            let evaluator = Evaluator::connect(addr).map_err(Exit::Failed)?;
+            eprintln!("evaluating on platoon-server at {addr}");
+            evaluator
         }
-        config.attacks = list;
-    }
-
-    let label = if quick { "quick" } else { "full" };
-    let mut evaluator = match &server {
-        Some(addr) => match Evaluator::connect(addr) {
-            Ok(e) => {
-                eprintln!("evaluating on platoon-server at {addr}");
-                e
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        },
         None => Evaluator::local(workers),
     };
     eprintln!(
-        "running {label} campaign (seed {seed}, {} attack(s))...",
+        "running {} campaign (seed {seed}, {} attack(s))...",
+        args.label(),
         config.attacks.len()
     );
-    let report = match search::run_campaign(&config, &mut evaluator) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    let report = search::run_campaign(&config, &mut evaluator).map_err(Exit::Failed)?;
     println!("{}", search::render(&report).render());
     eprintln!("{} unique cells evaluated", report.total_cells);
 
     let document = search::to_canonical_json(&report);
-    match write_report_file(&document, label, &out_dir) {
-        Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
-        }
-    }
-
-    if let Some(path) = check_golden {
-        match golden::check(&path, &document, golden::Tolerance::snapshot()) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("campaign drift:\n{diff}");
-                return 1;
-            }
-        }
-    }
-    0
+    args.write(&format!("CAMPAIGN_{}.json", args.label()), &document)?;
+    args.check_golden(&document, golden::Tolerance::snapshot());
+    Ok(())
 }

@@ -23,6 +23,7 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_proto::messages::PlatoonId;
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::engine::Engine;
 use platoon_sim::harness::{golden, json, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{
@@ -30,7 +31,6 @@ use platoon_sim::prelude::{
 };
 use platoon_trace::TraceRecorder;
 use platoon_v2x::message::NodeId;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Base seed of the corridor grid (cell seeds derive from the labels).
@@ -418,140 +418,68 @@ impl CorridorReport {
     }
 }
 
-/// Writes `CORRIDOR_<label>.json` and `BENCH_corridor_<label>.json` into
-/// `out_dir`, returning both paths.
-fn write_report_files(
-    report: &CorridorReport,
-    out_dir: &Path,
-) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("CORRIDOR_{}.json", report.label));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    let bench = out_dir.join(format!("BENCH_corridor_{}.json", report.label));
-    std::fs::write(&bench, report.bench_document())?;
-    Ok((doc, bench))
-}
+/// The `corridor` subcommand.
+pub const COMMAND: Command = Command {
+    name: "corridor",
+    summary: "multi-platoon highway corridor, written to CORRIDOR_<label>.json and BENCH_corridor_<label>.json",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::value(
+            "--threads",
+            "N",
+            "intra-run engine threads (default: 1; never changes results)",
+        ),
+        Flag::switch(
+            "--assert-speedup",
+            "fail unless the indexed medium sampled fewer pairs than all-pairs",
+        ),
+    ],
+    run: cli_main,
+};
 
-/// Entry point for the `corridor` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut threads = 1usize;
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut assert_speedup = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--assert-speedup" => assert_speedup = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: corridor [--quick] [--workers N] [--threads N] [--out DIR]\n\
-                         \x20               [--check-golden PATH] [--assert-speedup]\n\
-                         \x20 --quick          the 48-vehicle CI smoke corridor (indexed + all-pairs)\n\
-                         \x20 --workers N      harness worker processes (default: available parallelism)\n\
-                         \x20 --threads N      intra-run engine threads (default: 1; never changes results)\n\
-                         \x20 --out DIR        where CORRIDOR_*.json / BENCH_corridor_*.json land (default: .)\n\
-                         \x20 --check-golden P snapshot-match the canonical document against P\n\
-                         \x20 --assert-speedup fail unless the indexed medium sampled strictly\n\
-                         \x20                  fewer pairs than the all-pairs scan"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let threads = args.parse("--threads")?.unwrap_or(1);
     eprintln!(
         "running corridor grid ({} effort, {workers} workers, {threads} engine thread(s))...",
-        if quick { "quick" } else { "full" },
+        args.label()
     );
-    let report = run_with(quick, workers, threads);
-    for (job, reason) in report.report.failures() {
-        eprintln!("failed job {job:?}: {reason}");
-    }
+    let report = run_with(args.quick(), workers, threads);
+    args.job_failures(report.report.failures());
     for c in &report.cells {
         eprintln!(
             "  {:<26} {:>5} vehicles  {:>12} pairs  {:>9.1} ms",
             c.label, c.vehicles, c.pairs_considered, c.wall_ms
         );
     }
-    match write_report_files(&report, &out_dir) {
-        Ok((doc, bench)) => eprintln!("wrote {} and {}", doc.display(), bench.display()),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
-        }
-    }
-
-    let mut failed = report.report.failures().next().is_some();
-    if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("corridor drift:\n{diff}");
-                failed = true;
-            }
-        }
-    }
-    if assert_speedup {
+    let document = to_canonical_json(&report);
+    args.write(&format!("CORRIDOR_{}.json", report.label), &document)?;
+    args.write(
+        &format!("BENCH_corridor_{}.json", report.label),
+        report.bench_document(),
+    )?;
+    args.check_golden(&document, golden::Tolerance::snapshot());
+    if args.switch("--assert-speedup") {
         let failures = report.check_speedup();
         if failures.is_empty() {
             eprintln!("indexed medium beat the all-pairs scan on every matched corridor");
-        } else {
-            for f in &failures {
-                eprintln!("speedup assertion failed: {f}");
-            }
-            failed = true;
+        }
+        for f in failures {
+            args.fail(format_args!("speedup assertion failed: {f}"));
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use platoon_sim::harness::golden::Tolerance;
+    use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/corridor_quick.json")

@@ -3,7 +3,7 @@
 //!
 //! Every experiment is deterministic given its seeds and comes in two
 //! effort levels: `quick` (used by the test suite: shorter runs, fewer
-//! sweep points) and full (used by `cargo bench` and the report binaries).
+//! sweep points) and full (used by `cargo bench` and the `report` command).
 
 pub mod ablations;
 pub mod campaign;
@@ -18,10 +18,8 @@ pub mod table3;
 pub mod table4;
 pub mod trace;
 
-use serde::Serialize;
-
 /// One plotted series of an experiment figure.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Series {
     /// Legend label.
     pub name: String,
@@ -30,7 +28,7 @@ pub struct Series {
 }
 
 /// A reproduced "figure": a parameter sweep with one or more series.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Figure {
     /// Experiment id from DESIGN.md (e.g. "F2").
     pub id: String,

@@ -26,10 +26,9 @@ use super::{Figure, Series};
 use platoon_crypto::pseudonym::ChangePolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 
 /// When pseudonym changes happen relative to each other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChangeDiscipline {
     /// Each vehicle changes on its own staggered schedule.
     Staggered,
@@ -38,7 +37,7 @@ pub enum ChangeDiscipline {
 }
 
 /// Result of one tracking run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrackingOutcome {
     /// Pseudonym-change events the tracker had to bridge.
     pub change_events: usize,

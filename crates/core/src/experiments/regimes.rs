@@ -31,13 +31,13 @@ use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_detect::kinematic::KinematicConfig;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_dynamics::profiles::SpeedProfile;
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::harness::{golden, json, write_run_summary, Batch};
 use platoon_sim::prelude::{
     score_alerts, steps_for, DetectionSummary, Engine, RegimePhase, RegimePlan, RunSummary,
     TruthLabels,
 };
 use platoon_trace::TraceRecorder;
-use std::path::{Path, PathBuf};
 
 /// Detector profiles compared by the experiment.
 pub const PROFILES: [&str; 2] = ["cruise", "regime-aware"];
@@ -374,84 +374,37 @@ pub fn resume_check(quick: bool, seed: u64) -> (String, String) {
     (straight_doc, resumed_doc)
 }
 
-/// Writes `REGIME_<label>.json` into `out_dir`, returning the path.
-fn write_report_file(
-    report: &RegimeReport,
-    label: &str,
-    out_dir: &Path,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("REGIME_{label}.json"));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    Ok(doc)
-}
+/// The `regimes` subcommand.
+pub const COMMAND: Command = Command {
+    name: "regimes",
+    summary: "detection quality across driving regimes, written to REGIME_<label>.json",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::value(
+            "--seed",
+            "N",
+            "pin the run seed (default: the experiment base seed)",
+        ),
+        Flag::switch(
+            "--resume-check",
+            "also check snapshot/restore/resume byte identity (REGIME_resume_*.json)",
+        ),
+    ],
+    run: cli_main,
+};
 
-/// Entry point for the `regimes` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut seed: Option<u64> = None;
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut resume = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--seed" => {
-                    seed = Some(
-                        value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?,
-                    )
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--resume-check" => resume = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: regimes [--quick] [--workers N] [--seed N] [--out DIR]\n\
-                         \x20              [--check-golden PATH] [--resume-check]\n\
-                         \x20 --quick          short run (the CI smoke scenario)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --seed N         pin the run seed (default: the experiment base seed)\n\
-                         \x20 --out DIR        where REGIME_<label>.json lands (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --resume-check   also run the snapshot/restore/resume byte-identity\n\
-                         \x20                  check, writing REGIME_resume_straight.json and\n\
-                         \x20                  REGIME_resume_resumed.json"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
-    let label = if quick { "quick" } else { "full" };
-    eprintln!("running the regime grid ({label} effort, {workers} workers)...");
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let seed = args.parse("--seed")?;
+    let quick = args.quick();
+    eprintln!(
+        "running the regime grid ({} effort, {workers} workers)...",
+        args.label()
+    );
     let report = run_with(quick, workers, seed);
     for row in &report.rows {
         println!(
@@ -467,60 +420,28 @@ pub fn cli_main(args: &[String]) -> i32 {
                 .join(" ")
         );
     }
-    match write_report_file(&report, label, &out_dir) {
-        Ok(doc) => eprintln!("wrote {}", doc.display()),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
-        }
-    }
+    let document = to_canonical_json(&report);
+    args.write(&format!("REGIME_{}.json", args.label()), &document)?;
+    args.check_golden(&document, golden::Tolerance::snapshot());
 
-    if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("regime drift:\n{diff}");
-                return 1;
-            }
-        }
-    }
-
-    if resume {
+    if args.switch("--resume-check") {
         let (straight, resumed) = resume_check(quick, seed.unwrap_or(EXPERIMENT_BASE_SEED));
-        let write = |name: &str, doc: &str| -> std::io::Result<PathBuf> {
-            let path = out_dir.join(name);
-            std::fs::write(&path, doc)?;
-            Ok(path)
-        };
-        match (
-            write("REGIME_resume_straight.json", &straight),
-            write("REGIME_resume_resumed.json", &resumed),
-        ) {
-            (Ok(a), Ok(b)) => eprintln!("wrote {} and {}", a.display(), b.display()),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("error: writing resume documents: {e}");
-                return 1;
-            }
-        }
+        args.write("REGIME_resume_straight.json", &straight)?;
+        args.write("REGIME_resume_resumed.json", &resumed)?;
         if straight == resumed {
             eprintln!("resume check: straight and resumed runs are byte-identical");
         } else {
-            eprintln!("resume check FAILED: straight and resumed documents differ");
-            return 1;
+            args.fail("resume check FAILED: straight and resumed documents differ");
         }
     }
-    0
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use platoon_sim::harness::golden::Tolerance;
+    use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/regime_quick.json")

@@ -23,11 +23,10 @@ use crate::tables::{num, TextTable};
 use platoon_faults::{
     BurstPacketLoss, ClockSkew, FaultWindow, NoiseFloorRamp, RsuBlackout, SensorOutage,
 };
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::fault::Fault;
 use platoon_sim::harness::{golden, json, Batch};
 use platoon_sim::prelude::{per_frame_ratio, score_alerts, DetectionSummary, Engine, RunSummary};
-use serde::Serialize;
-use std::path::{Path, PathBuf};
 
 /// Fault arms swept by the experiment ("none" is the clean control).
 pub const FAULTS: [&str; 6] = [
@@ -45,6 +44,9 @@ pub const ATTACKS: [&str; 2] = ["benign", "impersonation"];
 
 /// Independent seeds per (fault, attack) cell.
 pub const SEEDS_PER_ARM: u64 = 2;
+
+/// Label of the deliberately panicking job [`run_with`] can append.
+pub const INJECTED_JOB: &str = "inject/panic";
 
 /// The canonical fault for a named arm, sized relative to the run length.
 /// `None` for the clean control.
@@ -109,7 +111,7 @@ pub fn robustness_arm(fault: &str, attack: &str, effort: Effort, seed: u64) -> R
 
 /// One row of the robustness table: a (fault, attack) cell aggregated over
 /// the seeds whose jobs completed.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RobustnessRow {
     /// Fault arm name ("none" for the clean control).
     pub fault: String,
@@ -210,7 +212,7 @@ pub fn run_with(quick: bool, workers: usize, inject_panic: bool) -> RobustnessRe
         }
     }
     if inject_panic {
-        batch.push("inject/panic", |_seed| -> RobustnessCell {
+        batch.push(INJECTED_JOB, |_seed| -> RobustnessCell {
             panic!("deliberately injected panic (crash-isolation check)")
         });
     }
@@ -322,120 +324,59 @@ pub fn render(report: &RobustnessReport) -> TextTable {
     t
 }
 
-/// Writes `ROBUSTNESS_<label>.json` into `out_dir`.
-fn write_report_file(
-    report: &RobustnessReport,
-    label: &str,
-    out_dir: &Path,
-) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(out_dir)?;
-    let path = out_dir.join(format!("ROBUSTNESS_{label}.json"));
-    std::fs::write(&path, to_canonical_json(report))?;
-    Ok(path)
-}
+/// The `robustness` subcommand.
+pub const COMMAND: Command = Command {
+    name: "robustness",
+    summary: "detection quality under benign faults, written to ROBUSTNESS_<label>.json",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::switch(
+            "--inject-panic",
+            "append a deliberately panicking job (recorded; the run still exits 0)",
+        ),
+    ],
+    run: cli_main,
+};
 
-/// Entry point for the `robustness` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut inject_panic = false;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--inject-panic" => inject_panic = true,
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: robustness [--quick] [--workers N] [--out DIR]\n\
-                         \x20                 [--check-golden PATH] [--inject-panic]\n\
-                         \x20 --quick          short runs (the CI smoke grid)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --out DIR        where ROBUSTNESS_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P\n\
-                         \x20 --inject-panic   append a deliberately panicking job (the batch\n\
-                         \x20                  must still exit 0 with the failure recorded)"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
-    let label = if quick { "quick" } else { "full" };
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let inject_panic = args.switch("--inject-panic");
     eprintln!(
-        "running robustness grid ({label} effort, {workers} workers{})...",
+        "running robustness grid ({} effort, {workers} workers{})...",
+        args.label(),
         if inject_panic {
             ", with an injected panic"
         } else {
             ""
         }
     );
-    let report = run_with(quick, workers, inject_panic);
+    let report = run_with(args.quick(), workers, inject_panic);
     println!("{}", render(&report).render());
     for (job, reason) in &report.failed_jobs {
-        eprintln!("failed job {job:?}: {reason}");
-    }
-    match write_report_file(&report, label, &out_dir) {
-        Ok(path) => eprintln!(
-            "wrote {} ({} rows, {} failed job(s))",
-            path.display(),
-            report.rows.len(),
-            report.failed_jobs.len()
-        ),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
+        if job == INJECTED_JOB {
+            // The crash-isolation check: recorded, and the run still exits 0.
+            eprintln!("failed job {job:?}: {reason} (injected)");
+        } else {
+            args.fail(format_args!("failed job {job:?}: {reason}"));
         }
     }
-
-    if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("robustness drift:\n{diff}");
-                return 1;
-            }
-        }
-    }
-    0
+    args.write(
+        &format!("ROBUSTNESS_{}.json", args.label()),
+        to_canonical_json(&report),
+    )?;
+    args.check_golden(&to_canonical_json(&report), golden::Tolerance::snapshot());
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use platoon_sim::harness::golden::Tolerance;
+    use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/robustness_quick.json")
@@ -507,7 +448,7 @@ mod tests {
             "robustness document must be byte-identical across worker counts"
         );
         assert_eq!(serial.failed_jobs.len(), 1);
-        assert_eq!(serial.failed_jobs[0].0, "inject/panic");
+        assert_eq!(serial.failed_jobs[0].0, INJECTED_JOB);
         assert!(serial.failed_jobs[0].1.contains("deliberately injected"));
         // The injected crash must not leak into any aggregated arm.
         for r in &serial.rows {

@@ -11,10 +11,9 @@ use super::common::{
 };
 use crate::tables::{num, TextTable};
 use platoon_sim::harness::{json, Batch};
-use serde::Serialize;
 
 /// Measured result for one Table II row.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table2Row {
     /// Attack machine name.
     pub attack: String,

@@ -8,11 +8,10 @@
 use super::common::{arm_outcome, ArmOutcome, Effort, EXPERIMENT_BASE_SEED};
 use crate::tables::{num, TextTable};
 use platoon_sim::harness::Batch;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Measured result for one (mechanism, attack) cell.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table3Cell {
     /// Mechanism machine name.
     pub mechanism: String,

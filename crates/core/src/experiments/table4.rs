@@ -28,7 +28,6 @@ use platoon_crypto::cert::PrincipalId;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_sim::harness::{json, Batch};
 use platoon_sim::prelude::{score_alerts, DetectionSummary, Engine, TruthLabels};
-use serde::Serialize;
 
 /// Detector configurations swept by the experiment.
 pub const CONFIGS: [&str; 2] = ["default", "strict"];
@@ -131,7 +130,7 @@ pub fn detection_arm(attack: &str, config: &str, effort: Effort, seed: u64) -> D
 
 /// One row of the measured Table IV: an (attack, detector-config) cell
 /// aggregated over [`SEEDS_PER_ARM`] seeds.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Table4Row {
     /// Attack machine name ("benign" for the false-positive floor arm).
     pub attack: String,

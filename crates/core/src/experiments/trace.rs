@@ -8,17 +8,17 @@
 //! alongside the canonical run document whose [`RunSummary`] carries the
 //! trace digest. Because every record is stamped with tick-derived time
 //! only, the JSONL is byte-identical across worker counts and machines —
-//! and [`trace-diff`](diff_cli_main) turns any divergence (a golden
+//! and [`trace-diff`](DIFF_COMMAND) turns any divergence (a golden
 //! mismatch, a nondeterminism regression) into a one-command answer:
 //! the first differing tick and phase.
 
 use super::common::{base_scenario, make_attack, Effort, EXPERIMENT_BASE_SEED};
 use super::robustness::make_fault;
 use super::table4::profile_for;
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::harness::{golden, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{Engine, RunSummary};
 use platoon_trace::{diff_traces, TraceRecorder};
-use std::path::{Path, PathBuf};
 
 /// The attack arm traced by default: reliably detected, so the trace
 /// exercises every phase (fault, attack, medium, defense, detector).
@@ -134,170 +134,77 @@ pub fn to_canonical_json(report: &TraceReport) -> String {
     report.report.to_canonical_json()
 }
 
-/// Writes `TRACE_<label>.json` (document) and `TRACE_<label>.jsonl`
-/// (record stream) into `out_dir`, returning both paths.
-fn write_report_files(
-    report: &TraceReport,
-    label: &str,
-    out_dir: &Path,
-) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(out_dir)?;
-    let doc = out_dir.join(format!("TRACE_{label}.json"));
-    std::fs::write(&doc, to_canonical_json(report))?;
-    let jsonl = out_dir.join(format!("TRACE_{label}.jsonl"));
-    std::fs::write(&jsonl, &report.jsonl)?;
-    Ok((doc, jsonl))
-}
-
-/// Entry point for the `trace` subcommand (root binary and the bench
-/// report binary). Returns the process exit code.
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut attack = DEFAULT_ATTACK.to_string();
-    let mut seed: Option<u64> = None;
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--attack" => attack = value("--attack")?,
-                "--seed" => {
-                    seed = Some(
-                        value("--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?,
-                    )
-                }
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: trace [--quick] [--workers N] [--attack NAME] [--seed N]\n\
-                         \x20            [--out DIR] [--check-golden PATH]\n\
-                         \x20 --quick          short run (the CI smoke scenario)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --attack NAME    attack arm to trace (default: {DEFAULT_ATTACK};\n\
-                         \x20                  `benign` for no attack)\n\
-                         \x20 --seed N         pin the run seed (default: the experiment base seed)\n\
-                         \x20 --out DIR        where TRACE_<label>.json/.jsonl land (default: .)\n\
-                         \x20 --check-golden P snapshot-match the document against P"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
-    let label = if quick { "quick" } else { "full" };
-    eprintln!("tracing trace/{attack} ({label} effort, {workers} workers)...");
-    let report = run_with(quick, workers, &attack, seed);
-    for (job, reason) in report.report.failures() {
-        eprintln!("failed job {job:?}: {reason}");
-    }
-    if let Some(entry) = report.report.entries.first() {
-        if let Some(s) = entry.value.as_ok() {
-            println!("{}", s.one_line());
-            if let Some(d) = &s.trace {
-                println!(
-                    "trace: {} record(s), {} dropped, digest {:016x}",
-                    d.records, d.dropped, d.hash
-                );
-            }
-        }
-    }
-    match write_report_files(&report, label, &out_dir) {
-        Ok((doc, jsonl)) => eprintln!(
-            "wrote {} and {} ({} trace line(s))",
-            doc.display(),
-            jsonl.display(),
-            report.jsonl.lines().count()
+/// The `trace` subcommand.
+pub const COMMAND: Command = Command {
+    name: "trace",
+    summary: "deterministic per-tick trace of one scenario, written to TRACE_<label>.json/.jsonl",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::value(
+            "--attack",
+            "NAME",
+            "attack arm to trace (default: impersonation; `benign` for none)",
         ),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
-        }
-    }
+        Flag::value(
+            "--seed",
+            "N",
+            "pin the run seed (default: the experiment base seed)",
+        ),
+    ],
+    run: cli_main,
+};
 
-    if let Some(path) = check_golden {
-        match golden::check(
-            &path,
-            &to_canonical_json(&report),
-            golden::Tolerance::snapshot(),
-        ) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("trace drift:\n{diff}");
-                return 1;
-            }
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let seed = args.parse("--seed")?;
+    let attack = args.value("--attack").unwrap_or(DEFAULT_ATTACK).to_string();
+    let label = args.label();
+    eprintln!("tracing trace/{attack} ({label} effort, {workers} workers)...");
+    let report = run_with(args.quick(), workers, &attack, seed);
+    args.job_failures(report.report.failures());
+    if let Some(s) = report.report.entries.first().and_then(|e| e.value.as_ok()) {
+        println!("{}", s.one_line());
+        if let Some(d) = &s.trace {
+            println!(
+                "trace: {} record(s), {} dropped, digest {:016x}",
+                d.records, d.dropped, d.hash
+            );
         }
     }
-    0
+    let document = to_canonical_json(&report);
+    args.write(&format!("TRACE_{label}.json"), &document)?;
+    args.write(&format!("TRACE_{label}.jsonl"), &report.jsonl)?;
+    args.check_golden(&document, golden::Tolerance::snapshot());
+    Ok(())
 }
 
-/// Entry point for the `trace-diff` subcommand: byte-compares two JSONL
-/// traces and reports the first diverging tick/phase. Exit codes: 0 when
-/// identical, 1 on divergence, 2 on usage or I/O errors.
-pub fn diff_cli_main(args: &[String]) -> i32 {
-    match args {
-        [a] if a == "--help" || a == "-h" => {
-            eprintln!(
-                "usage: trace-diff LEFT.jsonl RIGHT.jsonl\n\
-                 byte-compares two canonical traces; on divergence prints the first\n\
-                 differing line with its tick and phase and exits 1"
-            );
-            0
-        }
-        [left_path, right_path] => {
-            let read =
-                |p: &String| std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"));
-            let (left, right) = match (read(left_path), read(right_path)) {
-                (Ok(l), Ok(r)) => (l, r),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            };
-            match diff_traces(&left, &right) {
-                None => {
-                    println!("traces identical ({} line(s))", left.lines().count());
-                    0
-                }
-                Some(d) => {
-                    println!("traces diverge at {}", d.describe());
-                    1
-                }
-            }
-        }
-        _ => {
-            eprintln!("error: trace-diff takes exactly two trace files (try --help)");
-            2
+/// The `trace-diff` subcommand: byte-compares two JSONL traces.
+pub const DIFF_COMMAND: Command = Command {
+    name: "trace-diff",
+    summary: "first diverging tick/phase between two traces (exit 1 when they differ)",
+    operands: &["LEFT.jsonl", "RIGHT.jsonl"],
+    flags: &[],
+    run: diff_cli_main,
+};
+
+fn diff_cli_main(args: &mut Args) -> Result<(), Exit> {
+    let read = |path: &String| {
+        std::fs::read_to_string(path).map_err(|e| Exit::Failed(format!("reading {path}: {e}")))
+    };
+    let left = read(&args.operands()[0])?;
+    let right = read(&args.operands()[1])?;
+    match diff_traces(&left, &right) {
+        None => println!("traces identical ({} line(s))", left.lines().count()),
+        Some(d) => {
+            println!("traces diverge at {}", d.describe());
+            args.fail("the traces differ");
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -305,6 +212,7 @@ mod tests {
     use super::*;
     use platoon_sim::harness::golden::Tolerance;
     use platoon_trace::diff::END_OF_TRACE;
+    use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_quick.json")

@@ -15,6 +15,8 @@
 //! * [`tables`] — plain-text table rendering.
 //! * [`perf`] — the machine-readable perf pipeline: the fixed scenario grid
 //!   behind `BENCH_*.json`, the counters golden and the CI wall-time gate.
+//! * [`report`] — every table and figure as one text report
+//!   (`cargo run --release -- report`).
 //!
 //! # Examples
 //!
@@ -34,6 +36,7 @@
 
 pub mod experiments;
 pub mod perf;
+pub mod report;
 pub mod risk;
 pub mod surveys;
 pub mod tables;

@@ -17,12 +17,13 @@
 //!   ([`PerfReport::compare_baseline`]), catching order-of-magnitude
 //!   regressions without flaking on machine noise.
 //!
-//! Both the root binary (`cargo run --release -- perf --quick`) and the
-//! report binary (`report perf --quick`) feed [`cli_main`].
+//! The root binary's `perf` command ([`COMMAND`]) runs the grid and both
+//! gates: `cargo run --release -- perf --quick`.
 
 use platoon_detect::pipeline::PipelineConfig;
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::engine::Engine;
-use platoon_sim::harness::golden::{self, Tolerance};
+use platoon_sim::harness::golden::Tolerance;
 use platoon_sim::harness::{json, Batch};
 use platoon_sim::perf::PerfCounters;
 use platoon_sim::prelude::{AuthMode, CommsMode, ControllerKind, Scenario};
@@ -118,7 +119,7 @@ pub struct PerfCell {
 /// A completed perf run: every grid cell plus aggregate totals.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
-    /// Document label (`quick` / `full`, or operator-chosen).
+    /// Document label: `quick` or `full`.
     pub label: String,
     /// The grid base seed.
     pub base_seed: u64,
@@ -175,7 +176,7 @@ pub fn run_cell(label: &str, quick: bool) -> Option<(u64, PerfCounters)> {
 /// Runs the perf grid. `quick` shrinks the per-cell duration so the whole
 /// grid finishes in seconds (the CI smoke mode); full effort runs long
 /// enough for stable throughput numbers.
-pub fn run(label: &str, quick: bool, workers: usize) -> PerfReport {
+pub fn run(quick: bool, workers: usize) -> PerfReport {
     let mut batch: Batch<(PerfCounters, f64)> = Batch::new(PERF_BASE_SEED);
     for spec in GRID {
         batch.push(spec.label, move |seed| run_cell_spec(spec, quick, seed));
@@ -209,7 +210,7 @@ pub fn run(label: &str, quick: bool, workers: usize) -> PerfReport {
         .collect();
 
     PerfReport {
-        label: label.to_string(),
+        label: if quick { "quick" } else { "full" }.to_string(),
         base_seed: PERF_BASE_SEED,
         workers,
         cells,
@@ -269,13 +270,6 @@ impl PerfReport {
         w.finish()
     }
 
-    /// Compares the deterministic projection exactly against the golden at
-    /// `path` (honours `UPDATE_GOLDEN=1`, like every other golden in the
-    /// repo).
-    pub fn check_counters_golden(&self, path: &Path) -> Result<golden::Outcome, String> {
-        golden::check(path, &self.counters_document(), Tolerance::exact())
-    }
-
     /// Compares wall times against a previously recorded `BENCH_*.json`.
     ///
     /// A cell regresses when its wall time exceeds the baseline cell's by
@@ -327,143 +321,66 @@ impl PerfReport {
     }
 }
 
-/// Writes `BENCH_<label>.json` into `dir` and returns the path.
-pub fn write_report_file(report: &PerfReport, dir: &Path) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("BENCH_{}.json", report.label));
-    std::fs::write(&path, report.to_canonical_json())?;
-    Ok(path)
-}
-
-/// The shared `perf` subcommand entry. Parses `args` (everything after the
-/// subcommand word), runs the grid, writes `BENCH_<label>.json`, and applies
-/// the requested gates. Returns the process exit code.
-///
-/// ```text
-/// perf [--quick] [--workers N] [--label L] [--out DIR]
-///      [--check-golden PATH] [--baseline PATH] [--tolerance FRAC]
-/// ```
-pub fn cli_main(args: &[String]) -> i32 {
-    let mut quick = false;
-    let mut workers = platoon_sim::harness::default_workers();
-    let mut label: Option<String> = None;
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut tolerance = 0.30;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--quick" => quick = true,
-                "--workers" => {
-                    workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--label" => label = Some(value("--label")?),
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-                "--tolerance" => {
-                    tolerance = value("--tolerance")?
-                        .parse()
-                        .map_err(|e| format!("--tolerance: {e}"))?
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: perf [--quick] [--workers N] [--label L] [--out DIR]\n\
-                         \x20           [--check-golden PATH] [--baseline PATH] [--tolerance FRAC]\n\
-                         \x20 --quick          short runs (the CI smoke grid)\n\
-                         \x20 --workers N      worker threads (default: available parallelism)\n\
-                         \x20 --label L        document label (default: quick/full)\n\
-                         \x20 --out DIR        where BENCH_<label>.json is written (default: .)\n\
-                         \x20 --check-golden P exact-match the counter projection against P\n\
-                         \x20 --baseline P     fail on >FRAC wall-time regression vs P\n\
-                         \x20 --tolerance F    baseline tolerance fraction (default: 0.30)"
-                    );
-                    return Err(String::new()); // handled: exit 0 below
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
-    let label = label.unwrap_or_else(|| if quick { "quick" } else { "full" }.to_string());
-    eprintln!(
-        "running perf grid ({} effort, {} workers)...",
-        if quick { "quick" } else { "full" },
-        workers
-    );
-    let report = run(&label, quick, workers);
-    match write_report_file(&report, &out_dir) {
-        Ok(path) => eprintln!(
-            "wrote {} ({} cells, {:.1} ms total)",
-            path.display(),
-            report.cells.len(),
-            report.wall_ms_total
+/// The `perf` subcommand: the counters golden is exact, wall times are
+/// held to `--baseline`.
+pub const COMMAND: Command = Command {
+    name: "perf",
+    summary: "the perf grid, written to BENCH_<label>.json and gated on counters and wall time",
+    operands: &[],
+    flags: &[
+        cli::QUICK,
+        cli::WORKERS,
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::value(
+            "--baseline",
+            "PATH",
+            "fail on a wall-time regression against this BENCH_*.json",
         ),
-        Err(e) => {
-            eprintln!("error: writing report: {e}");
-            return 1;
-        }
-    }
+        Flag::value(
+            "--tolerance",
+            "FRAC",
+            "baseline tolerance fraction (default: 0.30)",
+        ),
+    ],
+    run: cli_main,
+};
 
-    let mut failed = false;
-    if let Some(path) = check_golden {
-        match report.check_counters_golden(&path) {
-            Ok(golden::Outcome::Match) => eprintln!("counters match {}", path.display()),
-            Ok(golden::Outcome::Updated) => {
-                eprintln!("counters golden written: {}", path.display())
-            }
-            Err(diff) => {
-                eprintln!("counter drift:\n{diff}");
-                failed = true;
-            }
-        }
-    }
+fn cli_main(args: &mut Args) -> Result<(), Exit> {
+    let workers = args.workers()?;
+    let baseline = args.value("--baseline").map(PathBuf::from);
+    let tolerance = args.parse("--tolerance")?.unwrap_or(0.30);
+    eprintln!(
+        "running perf grid ({} effort, {workers} workers)...",
+        args.label()
+    );
+    let report = run(args.quick(), workers);
+    args.write(
+        &format!("BENCH_{}.json", report.label),
+        report.to_canonical_json(),
+    )?;
+    eprintln!(
+        "{} cells, {:.1} ms total",
+        report.cells.len(),
+        report.wall_ms_total
+    );
+    args.check_golden(&report.counters_document(), Tolerance::exact());
     if let Some(path) = baseline {
         match report.compare_baseline(&path, tolerance) {
-            Ok(regressions) if regressions.is_empty() => {
-                eprintln!(
-                    "wall times within {:.0}% of {}",
-                    tolerance * 100.0,
-                    path.display()
-                )
-            }
-            Ok(regressions) => {
-                eprintln!("wall-time regressions (> {:.0}%):", tolerance * 100.0);
-                for r in &regressions {
-                    eprintln!("  {r}");
-                }
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                failed = true;
-            }
+            Ok(regressions) if regressions.is_empty() => eprintln!(
+                "wall times within {:.0}% of {}",
+                tolerance * 100.0,
+                path.display()
+            ),
+            Ok(regressions) => args.fail(format_args!(
+                "wall-time regressions (> {:.0}%):\n  {}",
+                tolerance * 100.0,
+                regressions.join("\n  ")
+            )),
+            Err(e) => args.fail(format_args!("error: {e}")),
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -472,8 +389,8 @@ mod tests {
 
     #[test]
     fn quick_grid_counters_are_worker_count_invariant() {
-        let one = run("t", true, 1);
-        let eight = run("t", true, 8);
+        let one = run(true, 1);
+        let eight = run(true, 8);
         assert_eq!(one.counters_document(), eight.counters_document());
         assert_eq!(one.totals, eight.totals);
         // The hot path really did avoid clones somewhere in the grid (the
@@ -486,9 +403,11 @@ mod tests {
 
     #[test]
     fn baseline_comparison_flags_only_real_regressions() {
-        let report = run("base", true, 2);
+        let report = run(true, 2);
         let dir = std::env::temp_dir().join(format!("platoon-perf-test-{}", std::process::id()));
-        let path = write_report_file(&report, &dir).expect("write baseline");
+        std::fs::create_dir_all(&dir).expect("create baseline dir");
+        let path = dir.join("BENCH_base.json");
+        std::fs::write(&path, report.to_canonical_json()).expect("write baseline");
 
         // Same run vs itself: inside tolerance.
         let ok = report.compare_baseline(&path, 0.30).expect("comparable");
@@ -508,7 +427,7 @@ mod tests {
 
     #[test]
     fn counters_document_has_no_timing_fields() {
-        let report = run("proj", true, 2);
+        let report = run(true, 2);
         let doc = report.counters_document();
         assert!(!doc.contains("wall_ms"));
         assert!(!doc.contains("per_sec"));

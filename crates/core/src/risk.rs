@@ -14,11 +14,10 @@
 //! (experiment ids cross-referenced per entry).
 
 use crate::tables::TextTable;
-use serde::Serialize;
 
 /// Attack-feasibility rating factors (lower total = easier attack), after
 /// ISO/SAE 21434 Annex G / the attack-potential method.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Feasibility {
     /// Elapsed time to mount the attack: 0 (hours) ..= 3 (months).
     pub elapsed_time: u8,
@@ -47,7 +46,7 @@ impl Feasibility {
 }
 
 /// Feasibility classes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FeasibilityClass {
     /// Easy to mount (high likelihood).
     High,
@@ -69,7 +68,7 @@ impl FeasibilityClass {
 
 /// Impact severity per ISO/SAE 21434 damage categories, 0 (negligible) ..=
 /// 3 (severe).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Impact {
     /// Safety consequences (collisions, injuries).
     pub safety: u8,
@@ -93,7 +92,7 @@ impl Impact {
 }
 
 /// Risk levels from the 21434-style risk matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RiskLevel {
     /// Acceptable without further treatment.
     Low,
@@ -118,7 +117,7 @@ pub fn risk_level(feasibility: FeasibilityClass, impact_severity: u8) -> RiskLev
 }
 
 /// A full TARA entry for one catalogued attack.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RiskEntry {
     /// Attack machine name (attack-registry key).
     pub attack: &'static str,

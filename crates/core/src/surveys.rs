@@ -6,10 +6,9 @@
 //! attack-coverage matrix implied by it) instead of merely citing it.
 
 use crate::tables::TextTable;
-use serde::Serialize;
 
 /// One row of Table I: a prior survey and its coverage.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SurveyEntry {
     /// Citation key, e.g. `"Isaac et al., 2010 \[18\]"`.
     pub citation: &'static str,

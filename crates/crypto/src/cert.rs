@@ -9,14 +9,13 @@
 
 use crate::keys::{KeyId, KeyPair, PublicKey};
 use crate::signature::{Signature, Signer};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Identity of a principal in the vehicular network (vehicle, RSU or TA).
 ///
 /// Plain `u64` newtype: the simulation assigns these densely.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PrincipalId(pub u64);
 
 impl fmt::Debug for PrincipalId {
@@ -58,7 +57,7 @@ impl fmt::Display for CertError {
 impl std::error::Error for CertError {}
 
 /// A certificate binding a principal to a public key for a validity window.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Certificate {
     /// The identity being certified.
     pub subject: PrincipalId,

@@ -24,10 +24,9 @@
 use crate::hmac::derive_keys;
 use crate::keys::SymmetricKey;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the channel-probing key agreement.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FadingKeyAgreementConfig {
     /// Number of channel probes (before censoring).
     pub probes: usize,
@@ -75,7 +74,7 @@ pub fn eavesdropper_correlation(distance_wavelengths: f64) -> f64 {
 }
 
 /// Result of one key agreement run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AgreementOutcome {
     /// Bits extracted by vehicle A (after censoring).
     pub bits_a: Vec<bool>,

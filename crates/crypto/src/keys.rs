@@ -9,7 +9,6 @@
 use crate::group;
 use crate::sha256::Sha256;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 256-bit symmetric key, used with [`crate::hmac`].
@@ -24,7 +23,7 @@ use std::fmt;
 /// let k = SymmetricKey::generate(&mut rng);
 /// assert_eq!(k.as_bytes().len(), 32);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymmetricKey([u8; 32]);
 
 impl SymmetricKey {
@@ -64,7 +63,7 @@ impl fmt::Debug for SymmetricKey {
 }
 
 /// Identifier for a principal's long-term or pseudonymous key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KeyId(pub u64);
 
 impl fmt::Debug for KeyId {
@@ -80,7 +79,7 @@ impl fmt::Display for KeyId {
 }
 
 /// A Schnorr public key: the group element `g^x`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey(pub(crate) u64);
 
 impl PublicKey {

@@ -9,10 +9,9 @@
 
 use crate::cert::{Certificate, CertificateAuthority, PrincipalId};
 use crate::keys::KeyPair;
-use serde::{Deserialize, Serialize};
 
 /// Policy controlling when a vehicle rotates to its next pseudonym.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ChangePolicy {
     /// Never change (baseline: fully trackable).
     Never,

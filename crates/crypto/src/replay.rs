@@ -11,13 +11,12 @@
 //! * [`SequenceWindow`] — a sliding bitmap over per-sender sequence numbers
 //!   (the IPsec-style anti-replay window), robust to reordering.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
 /// Outcome of an anti-replay check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReplayVerdict {
     /// Message is fresh; state was advanced.
     Fresh,

@@ -28,10 +28,9 @@ use crate::group;
 use crate::keys::{KeyPair, PublicKey};
 use crate::sha256::Sha256;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A Schnorr signature `(r, s)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Signature {
     /// Commitment `g^k`.
     pub r: u64,

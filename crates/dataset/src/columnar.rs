@@ -20,21 +20,10 @@
 //! with a plain `cmp`.
 
 use platoon_detect::features::{FEATURE_NAMES, NUM_FEATURES};
-use platoon_sim::harness::json;
+use platoon_sim::harness::{fnv1a, json};
 
 /// Leading magic bytes of every shard.
 pub const MAGIC: &[u8; 8] = b"PLTDSET1";
-
-/// FNV-1a over a byte stream — the same digest family the job server's
-/// content-addressed cache keys use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// One export cell's rows: a single (attack arm, seed) run.
 #[derive(Clone, Debug, PartialEq)]

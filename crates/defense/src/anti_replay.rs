@@ -20,12 +20,11 @@ use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::message::Delivery;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 
 /// Which freshness mechanism to run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ReplayWindowKind {
     /// Timestamp freshness with a maximum age in seconds.
     Timestamp {

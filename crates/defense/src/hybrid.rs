@@ -20,12 +20,11 @@ use platoon_proto::envelope::Envelope;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::message::{ChannelKind, Delivery};
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 
 /// Cross-channel validation policy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HybridPolicy {
     /// SP-VLC AND-validation: manoeuvres need both channels.
     RequireBoth,
@@ -34,7 +33,7 @@ pub enum HybridPolicy {
 }
 
 /// Configuration of the hybrid cross-validation defense.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HybridConfig {
     /// The validation policy.
     pub policy: HybridPolicy,

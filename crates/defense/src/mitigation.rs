@@ -22,11 +22,10 @@
 
 use platoon_sim::defense::Defense;
 use platoon_sim::world::World;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the mitigation layer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MitigationConfig {
     /// Clamp positive (accelerating) commands to this many m/s² (None = off).
     pub accel_clamp: Option<f64>,

@@ -21,11 +21,10 @@ use platoon_sim::defense::{Defense, DetectionEvent};
 use platoon_sim::world::World;
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// Configuration of the hardening defense.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OnboardConfig {
     /// Deploy the firewall (sets the `hardened` flag on every vehicle).
     pub firewall: bool,

@@ -1,10 +1,8 @@
 //! The defense mechanism registry: Table III of the paper as data, bound to
 //! the modules that implement each mechanism.
 
-use serde::Serialize;
-
 /// One row of Table III.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MechanismDescriptor {
     /// Machine name, matching `Defense::name()` where a module exists.
     pub name: &'static str,

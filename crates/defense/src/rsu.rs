@@ -23,12 +23,11 @@ use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::message::{distance, Delivery};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 
 /// Configuration of the RSU gatekeeper.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RsuConfig {
     /// Radio range within which an RSU serves vehicles, metres.
     pub service_range: f64,

@@ -21,12 +21,11 @@ use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::message::Delivery;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 
 /// Configuration of the trust manager.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrustConfig {
     /// Trust score below which a sender's messages are rejected.
     pub eviction_threshold: f64,

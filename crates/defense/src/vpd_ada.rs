@@ -27,12 +27,11 @@ use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::message::{ChannelKind, Delivery};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 
 /// Configuration of the detector.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VpdAdaConfig {
     /// Enable the radar/LiDAR ranging cross-check.
     pub ranging_check: bool,

@@ -6,10 +6,8 @@
 //! randomness, no world access. Detectors and defenses layer their own
 //! state (reputations, violation debouncing, fusion scores) on top.
 
-use serde::{Deserialize, Serialize};
-
 /// Physical-plausibility limits for beacon claims.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KinematicLimits {
     /// Maximum physically plausible acceleration magnitude, m/s².
     pub max_accel: f64,
@@ -36,7 +34,7 @@ impl Default for KinematicLimits {
 }
 
 /// One kinematic claim extracted from a beacon.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClaimSnapshot {
     /// Reception time of the claim, seconds.
     pub time: f64,
@@ -49,7 +47,7 @@ pub struct ClaimSnapshot {
 }
 
 /// A way a claim (or a claim pair) violates physical plausibility.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ClaimFault {
     /// The claimed acceleration magnitude exceeds the physical limit.
     ImpossibleAccel,

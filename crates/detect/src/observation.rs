@@ -9,11 +9,10 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_v2x::message::ChannelKind;
-use serde::{Deserialize, Serialize};
 
 /// Credential metadata of a received envelope — what signature/pseudonym
 /// material the identity detector can reason over without any keys.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuthMeta {
     /// No authenticator.
     Plain,
@@ -41,7 +40,7 @@ impl AuthMeta {
 }
 
 /// The kinematic content of a beacon.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BeaconClaim {
     /// Claimed road position, metres.
     pub position: f64,
@@ -58,7 +57,7 @@ pub struct BeaconClaim {
 }
 
 /// The observer's local context at reception time.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ObserverContext {
     /// Observer vehicle index (stable within a run).
     pub observer: usize,
@@ -98,7 +97,7 @@ impl ObserverContext {
 }
 
 /// A received beacon, as one observer saw it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BeaconObservation {
     /// Reception time, seconds.
     pub time: f64,
@@ -141,7 +140,7 @@ impl BeaconObservation {
 }
 
 /// The kind of a non-beacon (manoeuvre) message.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ControlKind {
     /// A join request, with the position it claims to join from.
     JoinRequest {
@@ -159,7 +158,7 @@ pub enum ControlKind {
 }
 
 /// A received manoeuvre message, as one observer saw it.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ControlObservation {
     /// Reception time, seconds.
     pub time: f64,
@@ -193,7 +192,7 @@ pub enum MessageObservation {
 
 /// One on-board sensor cross-check sample: independent ranging paths
 /// (radar vs LiDAR) measured by the same vehicle at the same instant.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SensorObservation {
     /// Measurement time, seconds.
     pub time: f64,

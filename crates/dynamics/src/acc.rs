@@ -8,7 +8,6 @@
 //! benefits platooning exists for (§II-B).
 
 use crate::controller::{ControlContext, LongitudinalController};
-use serde::{Deserialize, Serialize};
 
 /// Constant time-gap ACC.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// let acc = AccController::default();
 /// assert_eq!(acc.name(), "acc");
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccController {
     /// Time gap T in seconds.
     pub time_gap: f64,

@@ -19,10 +19,9 @@
 //! ```
 
 use crate::controller::{ControlContext, LongitudinalController};
-use serde::{Deserialize, Serialize};
 
 /// PATH CACC controller parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CaccController {
     /// Leader weighting C1 ∈ (0, 1); Plexe default 0.5.
     pub c1: f64,
@@ -64,7 +63,7 @@ impl Default for CaccController {
 }
 
 /// Why (if at all) the controller is operating in degraded mode this step.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CaccMode {
     /// Full cooperative control: fresh beacons from predecessor and leader.
     Cooperative,

@@ -14,10 +14,9 @@
 //! ```
 
 use crate::controller::{ControlContext, LongitudinalController};
-use serde::{Deserialize, Serialize};
 
 /// Consensus controller over the {predecessor, leader} neighbour set.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ConsensusController {
     /// Position-disagreement gain (per neighbour).
     pub k_pos: f64,

@@ -8,10 +8,9 @@
 //! can be spoofed only by attacking the sensor itself (§V-G).
 
 use crate::vehicle::VehicleState;
-use serde::{Deserialize, Serialize};
 
 /// Data about a peer vehicle as learned from its beacons.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CommPeer {
     /// Front-bumper position in metres (as claimed in the beacon).
     pub position: f64,
@@ -26,7 +25,7 @@ pub struct CommPeer {
 }
 
 /// A radar return from the predecessor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadarReading {
     /// Bumper-to-bumper range in metres.
     pub range: f64,
@@ -109,7 +108,7 @@ pub trait LongitudinalController: std::fmt::Debug + Send + Sync {
 
 /// Simple speed-tracking cruise controller, used by the platoon leader to
 /// follow its speed profile, and by free-driving vehicles.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CruiseController {
     /// Proportional speed gain in 1/s.
     pub gain: f64,

@@ -16,7 +16,6 @@
 //! with gap.
 
 use crate::vehicle::VehicleParams;
-use serde::{Deserialize, Serialize};
 
 /// Air density at sea level, kg/m³.
 const AIR_DENSITY: f64 = 1.225;
@@ -32,7 +31,7 @@ const ENGINE_EFFICIENCY: f64 = 0.40;
 const IDLE_RATE: f64 = 0.0008;
 
 /// Position of a vehicle within the platoon for drag purposes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlatoonPosition {
     /// Driving alone (no drag reduction).
     Solo,
@@ -87,7 +86,7 @@ pub fn fuel_rate(
 }
 
 /// Accumulates fuel burned by one vehicle over a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FuelMeter {
     /// Total litres burned.
     pub litres: f64,

@@ -16,10 +16,9 @@
 //! ```
 
 use crate::controller::{ControlContext, LongitudinalController};
-use serde::{Deserialize, Serialize};
 
 /// Ploeg CACC with internal command-filter state.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PloegController {
     /// Time gap h in seconds (Ploeg's experiments used 0.5–1.0 s).
     pub time_gap: f64,

@@ -6,10 +6,8 @@
 //! classic string-stability probe), an emergency-braking test, and a
 //! synthetic urban drive composed of deterministic pseudo-random phases.
 
-use serde::{Deserialize, Serialize};
-
 /// A deterministic target-speed profile `v(t)` for the platoon leader.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SpeedProfile {
     /// Hold a constant speed.
     Constant {

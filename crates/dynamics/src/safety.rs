@@ -6,10 +6,8 @@
 //! every experiment reports collision count, minimum observed gap and
 //! minimum time-to-collision (TTC), the standard surrogate safety measures.
 
-use serde::{Deserialize, Serialize};
-
 /// A recorded collision between adjacent platoon members.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Collision {
     /// Simulation time in seconds.
     pub time: f64,
@@ -40,7 +38,7 @@ pub fn time_to_collision(gap: f64, range_rate: f64) -> Option<f64> {
 }
 
 /// Accumulating safety monitor for one platoon run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SafetyMonitor {
     /// All collisions observed (at most one recorded per follower).
     pub collisions: Vec<Collision>,

@@ -13,10 +13,9 @@
 //!   distinct types rather than one generic "position sensor".
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Adversarial or environmental fault applied to a sensor.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum SensorFault {
     /// Sensor is healthy.
     #[default]
@@ -64,7 +63,7 @@ impl SensorFault {
 }
 
 /// Forward-looking radar measuring range and range rate to the predecessor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Radar {
     /// 1-σ range noise in metres.
     pub range_noise: f64,
@@ -109,7 +108,7 @@ impl Radar {
 }
 
 /// GPS receiver measuring absolute longitudinal position and speed.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Gps {
     /// 1-σ position noise in metres.
     pub position_noise: f64,
@@ -149,7 +148,7 @@ impl Gps {
 /// LiDAR measuring range to the predecessor — an independent second ranging
 /// modality for sensor-fusion defenses (VPD-ADA gathers positional evidence
 /// "from multiple sources such as LiDAR ... and GPS", §VI-A.3).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Lidar {
     /// 1-σ range noise in metres (LiDAR is more precise than radar).
     pub range_noise: f64,
@@ -181,7 +180,7 @@ impl Lidar {
 }
 
 /// The full sensor suite carried by a platoon vehicle.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct SensorSuite {
     /// Forward radar.
     pub radar: Radar,

@@ -11,10 +11,8 @@
 //! * **Oscillation energy** — integral of squared spacing error, the
 //!   passenger-discomfort proxy.
 
-use serde::{Deserialize, Serialize};
-
 /// A recorded time series, sampled at a fixed period.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     /// Sample period in seconds.
     pub dt: f64,
@@ -108,7 +106,7 @@ impl TimeSeries {
 }
 
 /// String-stability verdict over a platoon's spacing-error records.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StringStabilityReport {
     /// Per-follower L∞ spacing error, ordered front to back (index 0 = first
     /// follower).

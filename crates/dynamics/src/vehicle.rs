@@ -6,10 +6,8 @@
 //! `ȧ = (u − a)/τ` modelling engine/brake actuation, then is clamped to the
 //! physical acceleration envelope before integration.
 
-use serde::{Deserialize, Serialize};
-
 /// Static parameters of a vehicle.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VehicleParams {
     /// Vehicle length in metres (bumper to bumper).
     pub length: f64,
@@ -63,7 +61,7 @@ impl Default for VehicleParams {
 }
 
 /// Dynamic state of a vehicle on a single-lane longitudinal axis.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct VehicleState {
     /// Position of the front bumper in metres.
     pub position: f64,
@@ -74,7 +72,7 @@ pub struct VehicleState {
 }
 
 /// A vehicle: parameters, state and the pending acceleration command.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Vehicle {
     /// Static parameters.
     pub params: VehicleParams,

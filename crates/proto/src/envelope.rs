@@ -20,7 +20,6 @@ use platoon_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use platoon_crypto::keys::{PublicKey, SymmetricKey};
 use platoon_crypto::sha256::Digest;
 use platoon_crypto::signature::{Signature, Signer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Why envelope verification failed.
@@ -54,7 +53,7 @@ impl fmt::Display for AuthError {
 impl std::error::Error for AuthError {}
 
 /// The authentication scheme an envelope uses.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AuthScheme {
     /// No authentication.
     Plain,
@@ -83,7 +82,7 @@ pub enum AuthScheme {
 }
 
 /// A platoon message with its claimed sender and authenticator.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Envelope {
     /// Claimed application-level sender.
     pub sender: PrincipalId,

@@ -12,11 +12,10 @@
 use crate::membership::{Roster, RosterError};
 use crate::messages::{JoinReject, PlatoonId};
 use platoon_crypto::cert::PrincipalId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Tunable limits of the manoeuvre engine.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ManeuverConfig {
     /// Extra gap opened for each entering vehicle, in metres.
     pub join_gap_extra: f64,
@@ -42,7 +41,7 @@ impl Default for ManeuverConfig {
 }
 
 /// A join that has been accepted but whose vehicle has not yet merged.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PendingJoin {
     /// The joining vehicle.
     pub requester: PrincipalId,
@@ -53,7 +52,7 @@ pub struct PendingJoin {
 }
 
 /// The leader's answer to a join request.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JoinOutcome {
     /// Accepted; a gap is being opened at `slot`.
     Accept {
@@ -67,7 +66,7 @@ pub enum JoinOutcome {
 }
 
 /// Cumulative manoeuvre statistics (inputs to the DoS/Sybil experiments).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ManeuverStats {
     /// Join requests received.
     pub join_requests: u64,

@@ -9,7 +9,6 @@
 
 use crate::messages::PlatoonId;
 use platoon_crypto::cert::PrincipalId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors from roster mutations.
@@ -42,7 +41,7 @@ impl fmt::Display for RosterError {
 impl std::error::Error for RosterError {}
 
 /// Ordered platoon membership with the leader at index 0.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Roster {
     /// The platoon's identifier.
     pub id: PlatoonId,

@@ -9,11 +9,10 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use platoon_crypto::cert::PrincipalId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a platoon.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlatoonId(pub u32);
 
 impl fmt::Debug for PlatoonId {
@@ -29,7 +28,7 @@ impl fmt::Display for PlatoonId {
 }
 
 /// Role a vehicle claims in its beacon.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Platoon leader (human-driven, per §II-B).
     Leader,
@@ -68,7 +67,7 @@ impl Role {
 }
 
 /// A periodic cooperative-awareness beacon (CAM/BSM equivalent).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Beacon {
     /// Claimed sender identity (pseudonymous or long-term).
     pub sender: PrincipalId,
@@ -91,7 +90,7 @@ pub struct Beacon {
 }
 
 /// The reason a leader gives when rejecting a join.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinReject {
     /// Platoon is at its maximum size.
     Full,
@@ -130,7 +129,7 @@ impl JoinReject {
 }
 
 /// All platoon protocol messages.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PlatoonMessage {
     /// Periodic kinematic beacon.
     Beacon(Beacon),

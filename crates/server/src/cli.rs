@@ -1,14 +1,5 @@
-//! The `serve` and `submit` subcommands (wired into the root
-//! `platoon-security` binary and the bench `report` binary).
-//!
-//! ```text
-//! serve  [--addr A] [--workers N] [--threads N] [--cache-dir DIR]
-//!        [--cache-bytes N] [--job-budget-secs S]
-//! submit --experiment NAME [--quick] [--addr A | --in-process] [--out DIR]
-//!        [--check-golden PATH] [--assert-all-hits] [--shutdown]
-//!        [--retry-secs S] [--workers N] [--threads N]
-//!        [--cache-dir DIR] [--cache-bytes N]
-//! ```
+//! The `serve` and `submit` subcommands of the root `platoon-security`
+//! binary ([`SERVE`], [`SUBMIT`]).
 //!
 //! `submit` writes two files into `--out`:
 //!
@@ -21,10 +12,12 @@
 //!   counters plus this batch's hit/executed/failed split (the CI
 //!   artifact; machine-state-dependent by design).
 
-use crate::grids::{experiment_grid, EXPERIMENTS};
+use crate::cache::CacheConfig;
+use crate::grids::experiment_grid;
 use crate::job::{JobSpec, CODE_VERSION};
 use crate::net::{stats_line, Client, NetServer};
 use crate::service::{JobStatus, Service, ServiceConfig};
+use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::harness::{golden, json};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -91,86 +84,85 @@ fn stats_document(experiment: &str, effort: &str, stats: &str, rows: &[Row]) -> 
     w.finish()
 }
 
-/// Entry point for the `serve` subcommand. Blocks until a client sends a
-/// `shutdown` request. Returns the process exit code.
-pub fn serve_cli_main(args: &[String]) -> i32 {
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut config = ServiceConfig::default();
+/// `--addr A`, shared by `serve` and `submit`.
+const ADDR: Flag = Flag::value(
+    "--addr",
+    "A",
+    "server endpoint (default: 127.0.0.1:9471; serve: :0 for an ephemeral port)",
+);
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--addr" => addr = value("--addr")?,
-                "--workers" => {
-                    config.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    config.engine_threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--cache-dir" => config.cache.dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--cache-bytes" => {
-                    config.cache.max_bytes = value("--cache-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-bytes: {e}"))?
-                }
-                "--job-budget-secs" => {
-                    let secs: f64 = value("--job-budget-secs")?
-                        .parse()
-                        .map_err(|e| format!("--job-budget-secs: {e}"))?;
-                    config.job_budget = Some(Duration::from_secs_f64(secs));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: serve [--addr A] [--workers N] [--threads N] [--cache-dir DIR]\n\
-                         \x20            [--cache-bytes N] [--job-budget-secs S]\n\
-                         \x20 --addr A            listen address (default: {DEFAULT_ADDR}; use :0 for ephemeral)\n\
-                         \x20 --workers N         job worker threads (default: available parallelism)\n\
-                         \x20 --threads N         engine threads per corridor job (default: 1)\n\
-                         \x20 --cache-dir DIR     persist cached results here (survive restarts)\n\
-                         \x20 --cache-bytes N     cache byte budget before LRU eviction (default: 64 MiB)\n\
-                         \x20 --job-budget-secs S per-job wall-time budget, execution time only"
-                    );
-                    return Err(String::new());
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
+// The service knobs `serve` and `submit --in-process` share, besides
+// `cli::WORKERS`.
+const THREADS: Flag = Flag::value(
+    "--threads",
+    "N",
+    "engine threads per corridor job (default: 1)",
+);
+const CACHE_DIR: Flag = Flag::value(
+    "--cache-dir",
+    "DIR",
+    "persist cached results here (survive restarts)",
+);
+const CACHE_BYTES: Flag = Flag::value(
+    "--cache-bytes",
+    "N",
+    "cache byte budget before LRU eviction (default: 64 MiB)",
+);
 
-    let service = match Service::start(config) {
-        Ok(service) => Arc::new(service),
-        Err(e) => {
-            eprintln!("error: starting service: {e}");
-            return 1;
-        }
+/// How long `submit` keeps retrying its connection to the server.
+const RETRY: Duration = Duration::from_secs(10);
+
+/// The [`ServiceConfig`] the service flags select.
+fn service_config(args: &Args) -> Result<ServiceConfig, Exit> {
+    let defaults = ServiceConfig::default();
+    Ok(ServiceConfig {
+        workers: args.workers()?,
+        engine_threads: args.parse(THREADS.name)?.unwrap_or(defaults.engine_threads),
+        cache: CacheConfig {
+            dir: args.value(CACHE_DIR.name).map(PathBuf::from),
+            max_bytes: args
+                .parse(CACHE_BYTES.name)?
+                .unwrap_or(defaults.cache.max_bytes),
+        },
+        ..defaults
+    })
+}
+
+/// The `serve` subcommand. Blocks until a client sends a `shutdown`
+/// request.
+pub const SERVE: Command = Command {
+    name: "serve",
+    summary: "persistent job server with a content-addressed result cache",
+    operands: &[],
+    flags: &[
+        ADDR,
+        cli::WORKERS,
+        THREADS,
+        CACHE_DIR,
+        CACHE_BYTES,
+        Flag::value(
+            "--job-budget-secs",
+            "S",
+            "per-job wall-time budget, execution time only",
+        ),
+    ],
+    run: serve_cli_main,
+};
+
+fn serve_cli_main(args: &mut Args) -> Result<(), Exit> {
+    let addr = args.value(ADDR.name).unwrap_or(DEFAULT_ADDR);
+    let config = ServiceConfig {
+        job_budget: args
+            .parse("--job-budget-secs")?
+            .map(Duration::from_secs_f64),
+        ..service_config(args)?
     };
+    let service = Arc::new(
+        Service::start(config).map_err(|e| Exit::Failed(format!("starting service: {e}")))?,
+    );
     let loaded = service.snapshot().cache.loaded;
-    let server = match NetServer::spawn(Arc::clone(&service), &addr) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("error: binding {addr}: {e}");
-            return 1;
-        }
-    };
+    let server = NetServer::spawn(Arc::clone(&service), addr)
+        .map_err(|e| Exit::Failed(format!("binding {addr}: {e}")))?;
     // Scripts parse this line for the (possibly ephemeral) port.
     println!("listening on {}", server.addr());
     use std::io::Write;
@@ -182,106 +174,45 @@ pub fn serve_cli_main(args: &[String]) -> i32 {
     );
     server.join();
     eprintln!("server stopped");
-    0
+    Ok(())
 }
 
-/// Entry point for the `submit` subcommand. Returns the process exit code.
-pub fn submit_cli_main(args: &[String]) -> i32 {
-    let mut experiment: Option<String> = None;
-    let mut quick = false;
-    let mut addr = DEFAULT_ADDR.to_string();
-    let mut in_process = false;
-    let mut out_dir = PathBuf::from(".");
-    let mut check_golden: Option<PathBuf> = None;
-    let mut assert_all_hits = false;
-    let mut shutdown_after = false;
-    let mut retry_secs = 10.0f64;
-    let mut config = ServiceConfig::default();
+/// The `submit` subcommand; the module docs describe its two documents.
+pub const SUBMIT: Command = Command {
+    name: "submit",
+    summary: "submit an experiment grid to the server (or --in-process), writing SERVICE_*.json",
+    operands: &[],
+    flags: &[
+        Flag::value(
+            "--experiment",
+            "NAME",
+            "grid to submit (required; an unknown NAME lists the grids)",
+        ),
+        cli::QUICK,
+        ADDR,
+        Flag::switch(
+            "--in-process",
+            "run an embedded service instead of connecting",
+        ),
+        cli::OUT,
+        cli::CHECK_GOLDEN,
+        Flag::switch("--assert-all-hits", "fail unless every job was a cache hit"),
+        Flag::switch("--shutdown", "ask the server to stop after this batch"),
+        cli::WORKERS,
+        THREADS,
+        CACHE_DIR,
+        CACHE_BYTES,
+    ],
+    run: submit_cli_main,
+};
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        let parsed: Result<(), String> = (|| {
-            match arg.as_str() {
-                "--experiment" => experiment = Some(value("--experiment")?),
-                "--quick" => quick = true,
-                "--addr" => addr = value("--addr")?,
-                "--in-process" => in_process = true,
-                "--out" => out_dir = PathBuf::from(value("--out")?),
-                "--check-golden" => check_golden = Some(PathBuf::from(value("--check-golden")?)),
-                "--assert-all-hits" => assert_all_hits = true,
-                "--shutdown" => shutdown_after = true,
-                "--retry-secs" => {
-                    retry_secs = value("--retry-secs")?
-                        .parse()
-                        .map_err(|e| format!("--retry-secs: {e}"))?
-                }
-                "--workers" => {
-                    config.workers = value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?
-                }
-                "--threads" => {
-                    config.engine_threads = value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?
-                }
-                "--cache-dir" => config.cache.dir = Some(PathBuf::from(value("--cache-dir")?)),
-                "--cache-bytes" => {
-                    config.cache.max_bytes = value("--cache-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-bytes: {e}"))?
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: submit --experiment NAME [--quick] [--addr A | --in-process]\n\
-                         \x20             [--out DIR] [--check-golden PATH] [--assert-all-hits]\n\
-                         \x20             [--shutdown] [--retry-secs S]\n\
-                         \x20             [--workers N] [--threads N] [--cache-dir DIR] [--cache-bytes N]\n\
-                         \x20 --experiment NAME  grid to submit: {}\n\
-                         \x20 --quick            quick effort (the CI smoke shape)\n\
-                         \x20 --addr A           server endpoint (default: {DEFAULT_ADDR})\n\
-                         \x20 --in-process       run an embedded service instead of connecting\n\
-                         \x20 --out DIR          where SERVICE_*.json land (default: .)\n\
-                         \x20 --check-golden P   exact-match the batch document against P\n\
-                         \x20 --assert-all-hits  fail unless every job was a cache hit\n\
-                         \x20 --shutdown         ask the server to stop after this batch\n\
-                         \x20 --retry-secs S     keep retrying the connection this long (default: 10)\n\
-                         \x20 --workers/--threads/--cache-dir/--cache-bytes: --in-process knobs",
-                        EXPERIMENTS.join(", ")
-                    );
-                    return Err(String::new());
-                }
-                other => return Err(format!("unknown argument `{other}` (try --help)")),
-            }
-            Ok(())
-        })();
-        match parsed {
-            Ok(()) => {}
-            Err(msg) if msg.is_empty() => return 0,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return 2;
-            }
-        }
-    }
-
-    let Some(experiment) = experiment else {
-        eprintln!("error: --experiment is required (try --help)");
-        return 2;
-    };
-    let specs = match experiment_grid(&experiment, quick) {
-        Ok(specs) => specs,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let effort = if quick { "quick" } else { "full" };
+fn submit_cli_main(args: &mut Args) -> Result<(), Exit> {
+    let experiment = args.required("--experiment")?.to_string();
+    let addr = args.value(ADDR.name).unwrap_or(DEFAULT_ADDR).to_string();
+    let in_process = args.switch("--in-process");
+    let config = service_config(args)?;
+    let specs = experiment_grid(&experiment, args.quick()).map_err(Exit::Usage)?;
+    let effort = args.label();
     eprintln!(
         "submitting {} {experiment} job(s) ({effort} effort, {})...",
         specs.len(),
@@ -293,86 +224,43 @@ pub fn submit_cli_main(args: &[String]) -> i32 {
     );
 
     let (rows, stats) = if in_process {
-        match run_in_process(config, &specs) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
+        run_in_process(config, &specs)
     } else {
-        match run_remote(&addr, retry_secs, shutdown_after, &specs) {
-            Ok(pair) => pair,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        }
-    };
+        run_remote(&addr, args.switch("--shutdown"), &specs)
+    }
+    .map_err(Exit::Failed)?;
 
     for row in &rows {
         eprintln!("  {:<40} {:>6}  {}", row.label, row.status, row.key);
     }
 
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: creating {}: {e}", out_dir.display());
-        return 1;
-    }
-    let doc_path = out_dir.join(format!("SERVICE_{experiment}_{effort}.json"));
     let document = batch_document(&experiment, effort, &rows);
-    if let Err(e) = std::fs::write(&doc_path, &document) {
-        eprintln!("error: writing {}: {e}", doc_path.display());
-        return 1;
-    }
-    let stats_path = out_dir.join(format!("SERVICE_STATS_{experiment}_{effort}.json"));
-    if let Err(e) = std::fs::write(
-        &stats_path,
+    args.write(&format!("SERVICE_{experiment}_{effort}.json"), &document)?;
+    args.write(
+        &format!("SERVICE_STATS_{experiment}_{effort}.json"),
         stats_document(&experiment, effort, &stats, &rows),
-    ) {
-        eprintln!("error: writing {}: {e}", stats_path.display());
-        return 1;
-    }
-    eprintln!("wrote {} and {}", doc_path.display(), stats_path.display());
+    )?;
 
-    let mut failed = false;
-    let failures: Vec<&Row> = rows.iter().filter(|r| r.status == "failed").collect();
-    if !failures.is_empty() {
-        for row in failures {
-            eprintln!(
-                "failed job {}: {}",
-                row.label,
-                row.error.as_deref().unwrap_or("unknown")
-            );
-        }
-        failed = true;
+    for row in rows.iter().filter(|r| r.status == "failed") {
+        args.fail(format_args!(
+            "failed job {}: {}",
+            row.label,
+            row.error.as_deref().unwrap_or("unknown")
+        ));
     }
-    if let Some(path) = check_golden {
-        match golden::check(&path, &document, golden::Tolerance::exact()) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => {
-                eprintln!("service document drift:\n{diff}");
-                failed = true;
-            }
-        }
-    }
-    if assert_all_hits {
+    args.check_golden(&document, golden::Tolerance::exact());
+    if args.switch("--assert-all-hits") {
         let misses = rows.iter().filter(|r| r.status != "hit").count();
         if misses == 0 {
             eprintln!("all {} job(s) were cache hits", rows.len());
         } else {
-            eprintln!(
+            args.fail(format_args!(
                 "cache-effectiveness assertion failed: {misses} of {} job(s) were not hits",
                 rows.len()
-            );
-            failed = true;
+            ));
         }
     }
-    if failed {
-        1
-    } else {
-        0
-    }
+    Ok(())
 }
 
 fn run_in_process(config: ServiceConfig, specs: &[JobSpec]) -> Result<(Vec<Row>, String), String> {
@@ -406,12 +294,11 @@ fn run_in_process(config: ServiceConfig, specs: &[JobSpec]) -> Result<(Vec<Row>,
 
 fn run_remote(
     addr: &str,
-    retry_secs: f64,
     shutdown_after: bool,
     specs: &[JobSpec],
 ) -> Result<(Vec<Row>, String), String> {
-    let mut client = Client::connect(addr, Some(Duration::from_secs_f64(retry_secs)))
-        .map_err(|e| format!("connecting to {addr}: {e}"))?;
+    let mut client =
+        Client::connect(addr, Some(RETRY)).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let version = client.ping()?;
     if version != CODE_VERSION {
         return Err(format!(

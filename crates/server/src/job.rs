@@ -16,24 +16,13 @@
 use platoon_attacks::prelude::AttackParams;
 use platoon_core::experiments::common::Effort;
 use platoon_sim::harness::json::{self, Value};
-use platoon_sim::harness::write_run_summary;
+use platoon_sim::harness::{fnv1a, write_run_summary};
 use platoon_sim::prelude::DetectionSummary;
 
 /// The version string folded into every cache key. Bump the crate version
 /// (or change this scheme) and every previously cached result misses —
 /// results are only reusable across runs of the *same* code.
 pub const CODE_VERSION: &str = concat!("platoon-server/", env!("CARGO_PKG_VERSION"));
-
-/// 64-bit FNV-1a over a byte string — the cache's content-address hash
-/// (the same family the harness uses for label-derived seeds).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One runnable unit of work: an experiment arm by name.
 ///

@@ -27,8 +27,7 @@
 //!   the [`Client`](net::Client).
 //! * [`grids`] — the experiment grids (`table2` … `corridor`, plus the CI
 //!   `smoke` set) expressed as job batches.
-//! * [`cli`] — the `serve` and `submit` subcommands wired into the root
-//!   and report binaries.
+//! * [`cli`] — the `serve` and `submit` subcommands of the root binary.
 //!
 //! # Example
 //!

@@ -12,12 +12,11 @@ use crate::world::World;
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{Delivery, Frame};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
 
 /// The security attribute an attack compromises (the paper's §IV taxonomy).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SecurityAttribute {
     /// Authenticity of identities and messages.
     Authenticity,

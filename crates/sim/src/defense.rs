@@ -12,12 +12,11 @@ use platoon_crypto::cert::PrincipalId;
 use platoon_proto::envelope::Envelope;
 use platoon_v2x::message::Delivery;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
 
 /// Why a defense rejected an incoming message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RejectReason {
     /// Authentication failed (signature/MAC/certificate).
     AuthFailed,
@@ -44,7 +43,7 @@ impl fmt::Display for RejectReason {
 }
 
 /// A misbehaviour detection raised by a defense.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DetectionEvent {
     /// Simulation time of the detection.
     pub time: f64,

@@ -21,6 +21,7 @@ use crate::attack::Attack;
 use crate::defense::{Defense, RejectReason};
 use crate::events::{Event, EventLog};
 use crate::fault::Fault;
+use crate::harness::{fnv1a_fold, FNV_OFFSET};
 use crate::metrics::{score_alerts, DetectionSummary, MetricsCollector, RunSummary, TruthLabels};
 use crate::par;
 use crate::perf::PerfCounters;
@@ -904,8 +905,6 @@ impl Engine {
     /// the trace digest. Two engines with equal digests continue
     /// byte-identically; the snapshot machinery uses it to verify restores.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut words: Vec<u64> = Vec::with_capacity(24 + self.world.vehicles.len() * 7);
         words.push(self.steps_run);
         words.push(self.world.time.to_bits());
@@ -945,14 +944,9 @@ impl Engine {
             let d = tracer.digest();
             words.extend([d.records, d.dropped, d.hash]);
         }
-        let mut hash = FNV_OFFSET;
-        for word in words {
-            for byte in word.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
-            }
-        }
-        hash
+        words.iter().fold(FNV_OFFSET, |hash, word| {
+            fnv1a_fold(hash, &word.to_le_bytes())
+        })
     }
 
     /// Advances the engine by `ticks` communication steps.

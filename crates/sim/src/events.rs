@@ -3,10 +3,9 @@
 use crate::defense::RejectReason;
 use platoon_crypto::cert::PrincipalId;
 use platoon_proto::messages::PlatoonId;
-use serde::{Deserialize, Serialize};
 
 /// A notable occurrence during a run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Event {
     /// A received message was rejected by a defense.
     MessageRejected {
@@ -62,7 +61,7 @@ pub enum Event {
 }
 
 /// A timestamped event.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LoggedEvent {
     /// Simulation time in seconds.
     pub time: f64,
@@ -71,7 +70,7 @@ pub struct LoggedEvent {
 }
 
 /// Bounded event log.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EventLog {
     events: Vec<LoggedEvent>,
     capacity: usize,

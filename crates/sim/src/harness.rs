@@ -1,7 +1,7 @@
 //! Deterministic parallel experiment harness with golden-summary snapshots.
 //!
 //! The experiment drivers (the scenario matrix, the Table II/III
-//! reproductions, the bench report) all share the same shape: a batch of
+//! reproductions, the report) all share the same shape: a batch of
 //! independent scenario runs whose [`RunSummary`]s are tabulated afterwards.
 //! This module gives that shape one engine:
 //!
@@ -19,7 +19,7 @@
 //!   tolerances, refresh with `UPDATE_GOLDEN=1`, and fail with a readable
 //!   per-path diff otherwise.
 //! * [`json`] — the tiny canonical JSON writer and parser the above are
-//!   built on (the workspace's serde is an offline no-op stand-in, so
+//!   built on (the workspace has no serialization framework, so
 //!   serialization is explicit and therefore stable by construction).
 
 use crate::exec::{self, JobTiming};
@@ -30,6 +30,26 @@ use std::time::{Duration, Instant};
 
 pub use crate::exec::JobOutcome;
 
+/// The FNV-1a 64-bit offset basis: the digest of no bytes, and the seed of
+/// every [`fnv1a_fold`] chain.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a 64-bit digest `hash`. Folding a
+/// stream chunk by chunk gives the digest of the whole stream.
+pub fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// 64-bit FNV-1a over `bytes`: the workspace's one non-cryptographic
+/// digest. Label-derived seeds, engine state and trace digests, dataset
+/// shard checksums and the job server's cache keys all use it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
 /// Derives the per-job seed from the job label and the batch base seed.
 ///
 /// FNV-1a over the label bytes, then mixed with the base seed through two
@@ -37,14 +57,7 @@ pub use crate::exec::JobOutcome;
 /// neither worker count nor submission order can influence it, which is what
 /// makes batch results scheduling-independent.
 pub fn derive_seed(label: &str, base_seed: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    let mut z = h ^ base_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut z = fnv1a(label.as_bytes()) ^ base_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     for _ in 0..2 {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

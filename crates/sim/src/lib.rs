@@ -17,6 +17,8 @@
 //! * [`metrics`] / [`events`] — what a run reports.
 //! * [`trace`] — the deterministic per-tick trace hook (recorder lives in
 //!   `platoon-trace`).
+//! * [`cli`] — the command-line layer every subcommand of the
+//!   `platoon-security` binary runs on.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@
 
 pub mod agents;
 pub mod attack;
+pub mod cli;
 pub mod defense;
 pub mod engine;
 pub mod events;

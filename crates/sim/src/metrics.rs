@@ -10,7 +10,6 @@ use platoon_dynamics::safety::SafetyMonitor;
 use platoon_dynamics::stability::{StringStabilityReport, TimeSeries};
 use platoon_proto::maneuver::ManeuverStats;
 use platoon_v2x::stats::LinkStats;
-use serde::{Deserialize, Serialize};
 
 /// Collected continuously during a run.
 #[derive(Clone, Debug)]
@@ -85,7 +84,7 @@ impl MetricsCollector {
 }
 
 /// Summary of a completed run — the unit the experiment harness tabulates.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Scenario label.
     pub label: String,
@@ -159,7 +158,7 @@ impl RunSummary {
 /// Ground-truth labelling of a run: which identities actually misbehaved
 /// and from when. The engine scores the detection pipeline's alert stream
 /// against this to produce a [`DetectionSummary`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TruthLabels {
     /// Human-readable attack name (golden-table row key).
     pub attack: String,
@@ -199,7 +198,7 @@ impl TruthLabels {
 
 /// Detection-quality metrics for one run: the alert stream scored against
 /// [`TruthLabels`]. This is what the Table-IV experiment tabulates.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DetectionSummary {
     /// Total alerts raised.
     pub alerts: usize,

@@ -9,10 +9,8 @@
 //! file and gate CI on them, while wall-times are reported separately and
 //! compared only with generous tolerances.
 
-use serde::{Deserialize, Serialize};
-
 /// Deterministic per-run engine work counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Communication steps executed.
     pub ticks: u64,

@@ -15,7 +15,6 @@
 //! drifted by one ulp) still lands every boundary on the intended tick.
 
 use platoon_dynamics::profiles::SpeedProfile;
-use serde::{Deserialize, Serialize};
 
 /// Converts a duration in seconds into a whole number of simulation steps,
 /// robust to `f64` representation error in either direction.
@@ -32,7 +31,7 @@ pub fn steps_for(duration: f64, step: f64) -> u64 {
 }
 
 /// One phase of a [`RegimePlan`]: a labelled stretch of driving regime.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegimePhase {
     /// Phase label, e.g. `"cruise"`, `"stop-and-go"`, `"tunnel"`. Announced
     /// to regime-aware detectors and recorded in the trace.
@@ -41,23 +40,19 @@ pub struct RegimePhase {
     pub duration: f64,
     /// Leader speed profile for this phase, evaluated at *phase-local*
     /// time. `None` keeps the scenario's own profile (at run time).
-    #[serde(default)]
     pub profile: Option<SpeedProfile>,
     /// Commanded intra-platoon gap override in metres, e.g. tightened in
     /// congestion. Affects control only; spacing-error metrics stay
     /// relative to the scenario's nominal gap.
-    #[serde(default)]
     pub desired_gap: Option<f64>,
     /// Extra channel noise in dB for this phase (tunnel walls, weather).
     /// Raises the DSRC noise floor by this amount and the VLC
     /// ambient-outage rate by `VLC_OUTAGE_PER_DB` per dB, so every active
     /// medium degrades.
-    #[serde(default)]
     pub noise_extra_db: f64,
     /// Beacon cadence divisor: members beacon every this many comm steps
     /// (1 = every step). Models congestion-control backoff in dense
     /// traffic or constrained channels.
-    #[serde(default = "default_beacon_every")]
     pub beacon_every: u64,
 }
 
@@ -107,7 +102,7 @@ impl RegimePhase {
 /// A piecewise regime schedule attached to a scenario. Phases run in
 /// order; once the plan is exhausted the final phase persists to the end
 /// of the run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RegimePlan {
     /// The phases, in chronological order.
     pub phases: Vec<RegimePhase>,

@@ -9,10 +9,9 @@ use platoon_dynamics::profiles::SpeedProfile;
 use platoon_dynamics::vehicle::VehicleParams;
 use platoon_proto::maneuver::ManeuverConfig;
 use platoon_v2x::medium::RadioMedium;
-use serde::{Deserialize, Serialize};
 
 /// Which longitudinal controller the followers run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ControllerKind {
     /// Radar-only adaptive cruise control.
     Acc,
@@ -26,7 +25,7 @@ pub enum ControllerKind {
 
 /// How outgoing messages are sealed and, symmetrically, what receivers
 /// expect (the deployed key infrastructure).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AuthMode {
     /// Plain envelopes — the undefended baseline.
     None,
@@ -40,7 +39,7 @@ pub enum AuthMode {
 }
 
 /// Which channels vehicles transmit their beacons on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommsMode {
     /// 802.11p only (the paper's baseline).
     DsrcOnly,
@@ -51,7 +50,7 @@ pub enum CommsMode {
 }
 
 /// Full description of a simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Human-readable label for reports.
     pub label: String,
@@ -95,7 +94,6 @@ pub struct Scenario {
     pub platoon_spacing: f64,
     /// Piecewise driving-regime schedule (cruise → congestion →
     /// stop-and-go → tunnel, …). `None` keeps the single static regime.
-    #[serde(default)]
     pub regimes: Option<RegimePlan>,
 }
 

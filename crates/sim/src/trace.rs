@@ -18,11 +18,10 @@
 //! `platoon-trace` crate.
 
 use crate::harness::json::Writer;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 
 /// The engine phase a trace record was emitted from, in step order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TracePhase {
     /// Pre-phase: driving-regime phase transitions (emitted only when the
     /// scenario carries a [`RegimePlan`](crate::regime::RegimePlan)).
@@ -57,7 +56,7 @@ impl TracePhase {
 }
 
 /// What happened — the phase-specific payload of a [`TraceRecord`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum TraceDetail {
     /// A driving-regime phase became active this tick.
     RegimeEnter {
@@ -131,7 +130,7 @@ impl TraceDetail {
 }
 
 /// One phase-scoped trace record.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     /// Communication-step index (0-based).
     pub tick: u64,
@@ -207,7 +206,7 @@ impl TraceRecord {
 /// Summary of a recorded trace, folded into the run's
 /// [`RunSummary`](crate::metrics::RunSummary) (and therefore the golden
 /// snapshots) when a tracer is attached.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceDigest {
     /// Total records emitted (including any dropped past capacity).
     pub records: u64,

@@ -1,5 +1,6 @@
 //! The bounded JSONL trace recorder.
 
+use platoon_sim::harness::{fnv1a_fold, FNV_OFFSET};
 use platoon_sim::trace::{TraceDigest, TraceRecord, Tracer};
 use std::any::Any;
 
@@ -7,11 +8,6 @@ use std::any::Any;
 /// workspace (a 60 s full-effort scenario emits a few thousand records)
 /// while still bounding a pathological alert storm.
 pub const DEFAULT_CAPACITY: usize = 1_000_000;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A deterministic, bounded trace recorder.
 ///
@@ -91,13 +87,8 @@ impl TraceRecorder {
     }
 
     fn fold(&mut self, line: &str) {
-        for byte in line.as_bytes() {
-            self.hash ^= u64::from(*byte);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
         // Delimit lines in the hash stream the same way the file does.
-        self.hash ^= u64::from(b'\n');
-        self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        self.hash = fnv1a_fold(fnv1a_fold(self.hash, line.as_bytes()), b"\n");
     }
 }
 
@@ -198,7 +189,7 @@ mod tests {
         let r = TraceRecorder::new();
         let d = r.digest();
         assert_eq!(d.records, 0);
-        assert_eq!(d.hash, 0xcbf2_9ce4_8422_2325);
+        assert_eq!(d.hash, FNV_OFFSET);
         assert_eq!(r.to_jsonl(), "");
     }
 }

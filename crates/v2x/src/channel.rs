@@ -4,10 +4,9 @@
 
 use crate::message::{distance, Position};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Physical-layer parameters of the 5.9 GHz DSRC channel.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DsrcPhy {
     /// Bit rate in bits/s (802.11p default data rate is 6 Mb/s).
     pub bitrate: f64,

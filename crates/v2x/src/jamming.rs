@@ -10,10 +10,9 @@
 
 use crate::channel::{dbm_to_mw, DsrcPhy};
 use crate::message::{distance, Position};
-use serde::{Deserialize, Serialize};
 
 /// Temporal strategy of a jammer.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JammingStrategy {
     /// Always on.
     Continuous,
@@ -31,7 +30,7 @@ pub enum JammingStrategy {
 }
 
 /// An RF jammer device.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Jammer {
     /// Jammer position.
     pub position: Position,

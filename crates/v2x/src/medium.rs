@@ -23,7 +23,6 @@ use crate::message::{distance, ChannelKind, Delivery, Frame, NodeId, Position};
 use crate::spatial::SpatialGrid;
 use crate::vlc::VlcPhy;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A node able to receive frames this step.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,7 +38,7 @@ pub struct Receiver {
 const CARRIER_SENSE_DBM: f64 = -85.0;
 
 /// Aggregate statistics for one medium step.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StepStats {
     /// Frames offered to the medium.
     pub offered: usize,
@@ -56,7 +55,7 @@ pub struct StepStats {
 }
 
 /// The broadcast medium configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RadioMedium {
     /// DSRC PHY parameters.
     pub dsrc: DsrcPhy,

@@ -7,12 +7,11 @@
 //! which is exactly the paper's observation that 802.11p "is an open
 //! standard" and its frames are observable and injectable by anyone (§I).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a radio node (vehicle OBU, RSU, or attacker device).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
 impl fmt::Debug for NodeId {
@@ -36,7 +35,7 @@ pub fn distance(a: Position, b: Position) -> f64 {
 }
 
 /// Which physical channel a frame is sent on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChannelKind {
     /// IEEE 802.11p DSRC at 5.9 GHz.
     Dsrc,
@@ -64,7 +63,7 @@ impl fmt::Display for ChannelKind {
 /// [`Payload`] — and therefore a [`Frame`] or [`Delivery`] — is a refcount
 /// bump, not a byte copy. The type dereferences to `&[u8]`, so existing
 /// slice-based consumers (codecs, hash functions) work unchanged.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Payload(Arc<[u8]>);
 
 impl Payload {
@@ -130,7 +129,7 @@ impl fmt::Debug for Payload {
 }
 
 /// A frame handed to the medium for broadcast.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Transmitting node.
     pub sender: NodeId,
@@ -159,7 +158,7 @@ impl Frame {
 }
 
 /// A successfully received frame.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Delivery {
     /// Transmitting node.
     pub sender: NodeId,

@@ -2,11 +2,10 @@
 //! tracking — the availability metrics of the jamming and DoS experiments.
 
 use crate::message::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Cumulative per-link and aggregate delivery statistics.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LinkStats {
     /// Frames offered per sender.
     offered: HashMap<NodeId, u64>,
@@ -104,7 +103,7 @@ impl LinkStats {
 
 /// Tracks the age of the freshest information received from each peer — the
 /// beacon-age metric used to detect communication loss.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct BeaconAgeTracker {
     last_heard: HashMap<NodeId, f64>,
 }

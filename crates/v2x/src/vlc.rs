@@ -14,7 +14,6 @@
 
 use crate::message::{distance, Position};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Ambient-outage probability the optical link gains per decibel of
 /// environmental noise-floor degradation.
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 pub const VLC_OUTAGE_PER_DB: f64 = 0.02;
 
 /// Parameters of the optical link.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VlcPhy {
     /// Bit rate in bits/s.
     pub bitrate: f64,

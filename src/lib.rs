@@ -68,6 +68,51 @@ pub use platoon_proto as proto;
 pub use platoon_sim as sim;
 pub use platoon_v2x as v2x;
 
+use platoon_sim::cli::Command;
+
+/// Every subcommand of the `platoon-security` binary: its name, one-line
+/// summary and entry function. The table drives both dispatch and the
+/// top-level help ([`dispatch`]).
+pub const COMMANDS: &[&Command] = &[
+    &platoon_core::report::COMMAND,
+    &platoon_core::perf::COMMAND,
+    &platoon_core::experiments::robustness::COMMAND,
+    &platoon_core::experiments::trace::COMMAND,
+    &platoon_core::experiments::trace::DIFF_COMMAND,
+    &platoon_core::experiments::corridor::COMMAND,
+    &platoon_core::experiments::regimes::COMMAND,
+    &platoon_server::cli::SERVE,
+    &platoon_server::cli::SUBMIT,
+    &platoon_campaign::cli::COMMAND,
+    &platoon_dataset::cli::COMMAND,
+];
+
+/// Runs the command `args[0]` names on the rest of `args` and returns the
+/// process exit code; no command or `--help` prints the table.
+pub fn dispatch(args: &[String]) -> i32 {
+    match args.first().map(String::as_str) {
+        None | Some("--help" | "-h") => {
+            eprintln!("usage: platoon-security <command> [options]");
+            for command in COMMANDS {
+                eprintln!("  {:<12} {}", command.name, command.summary);
+            }
+            eprintln!("`platoon-security <command> --help` lists a command's options");
+            if args.is_empty() {
+                2
+            } else {
+                0
+            }
+        }
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            Some(command) => command.main(&args[1..]),
+            None => {
+                eprintln!("error: unknown command `{name}` (try --help)");
+                2
+            }
+        },
+    }
+}
+
 /// Everything needed to build, attack and defend a platoon.
 pub mod prelude {
     pub use platoon_attacks::prelude::*;

@@ -1,76 +1,13 @@
-//! The workspace's front-door binary.
+//! The workspace's one binary: the report, every experiment and the job
+//! service, dispatched through [`platoon_security::COMMANDS`].
 //!
 //! ```text
-//! cargo run --release -- perf --quick        # perf grid → BENCH_quick.json
-//! cargo run --release -- robustness --quick  # fault grid → ROBUSTNESS_quick.json
-//! cargo run --release -- trace --quick       # traced run → TRACE_quick.jsonl
-//! cargo run --release -- trace-diff A B      # first diverging tick/phase
-//! cargo run --release -- corridor --quick    # corridor grid → CORRIDOR_quick.json
-//! cargo run --release -- regimes --quick     # regime grid → REGIME_quick.json
-//! cargo run --release -- serve               # persistent job server w/ result cache
-//! cargo run --release -- submit --experiment smoke --quick  # batch via the server
-//! cargo run --release -- campaign --quick    # stealth-vs-damage search → CAMPAIGN_quick.json
-//! cargo run --release -- dataset --quick     # labeled shards + learned baseline → DATASET_quick.json
-//! cargo run --release -- perf --help         # all perf options
+//! cargo run --release -- --help            # every command, one line each
+//! cargo run --release -- report --quick    # every table and figure (fast pass)
+//! cargo run --release -- perf --help       # one command's options
 //! ```
-//!
-//! The full table/figure report stays with the bench crate
-//! (`cargo run --release -p platoon-bench --bin report`).
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("perf") => std::process::exit(platoon_core::perf::cli_main(&args[1..])),
-        Some("robustness") => {
-            std::process::exit(platoon_core::experiments::robustness::cli_main(&args[1..]))
-        }
-        Some("trace") => std::process::exit(platoon_core::experiments::trace::cli_main(&args[1..])),
-        Some("corridor") => {
-            std::process::exit(platoon_core::experiments::corridor::cli_main(&args[1..]))
-        }
-        Some("regimes") => {
-            std::process::exit(platoon_core::experiments::regimes::cli_main(&args[1..]))
-        }
-        Some("trace-diff") => {
-            std::process::exit(platoon_core::experiments::trace::diff_cli_main(&args[1..]))
-        }
-        Some("serve") => std::process::exit(platoon_server::cli::serve_cli_main(&args[1..])),
-        Some("submit") => std::process::exit(platoon_server::cli::submit_cli_main(&args[1..])),
-        Some("campaign") => std::process::exit(platoon_campaign::cli::cli_main(&args[1..])),
-        Some("dataset") => std::process::exit(platoon_dataset::cli::cli_main(&args[1..])),
-        Some("--help") | Some("-h") | None => {
-            eprintln!(
-                "usage: platoon-security <command>\n\
-                 \x20 perf [options]        run the perf grid and write BENCH_<label>.json\n\
-                 \x20                       (see `perf --help`)\n\
-                 \x20 robustness [options]  detection quality under benign faults, written\n\
-                 \x20                       to ROBUSTNESS_<label>.json (see `robustness --help`)\n\
-                 \x20 trace [options]       deterministic per-tick trace of one scenario,\n\
-                 \x20                       written to TRACE_<label>.json/.jsonl (see `trace --help`)\n\
-                 \x20 trace-diff A B        first diverging tick/phase between two traces\n\
-                 \x20 corridor [options]    highway-scale multi-platoon corridor, written to\n\
-                 \x20                       CORRIDOR_<label>.json + BENCH_corridor_<label>.json\n\
-                 \x20                       (see `corridor --help`)\n\
-                 \x20 regimes [options]     detection quality across driving regimes (cruise →\n\
-                 \x20                       congestion → stop-and-go → tunnel), written to\n\
-                 \x20                       REGIME_<label>.json (see `regimes --help`)\n\
-                 \x20 serve [options]       persistent job server with a content-addressed\n\
-                 \x20                       result cache (see `serve --help`)\n\
-                 \x20 submit [options]      submit an experiment grid to the server (or\n\
-                 \x20                       --in-process), writing SERVICE_*.json\n\
-                 \x20                       (see `submit --help`)\n\
-                 \x20 campaign [options]    adversarial stealth-vs-damage parameter search,\n\
-                 \x20                       written to CAMPAIGN_<label>.json (see `campaign --help`)\n\
-                 \x20 dataset [options]     labeled per-beacon train/test shards + the learned\n\
-                 \x20                       detector baseline, written to DATASET_<label>.json\n\
-                 \x20                       (see `dataset --help`)\n\
-                 For tables and figures: cargo run --release -p platoon-bench --bin report"
-            );
-            std::process::exit(if args.is_empty() { 2 } else { 0 });
-        }
-        Some(other) => {
-            eprintln!("error: unknown command `{other}` (try --help)");
-            std::process::exit(2);
-        }
-    }
+    std::process::exit(platoon_security::dispatch(&args));
 }
