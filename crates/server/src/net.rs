@@ -19,15 +19,33 @@
 //!
 //! `shutdown` drains the service queue, stops the accept loop, and ends
 //! the process-level `serve` command.
+//!
+//! Input is bounded: a request line holds at most [`MAX_REQUEST_BYTES`]
+//! bytes and a submit at most [`MAX_SUBMIT_JOBS`] jobs. An over-cap request
+//! gets one `{"type": "error", ...}` line, and the server closes that
+//! connection.
+//!
+//! Both ends set `TCP_NODELAY` and send each protocol message with one
+//! write. A message written in two pieces (its text, then its newline)
+//! would otherwise hold the second piece under Nagle's algorithm until the
+//! peer's delayed ACK, about 40 ms per direction on loopback.
 
 use crate::job::{JobSpec, CODE_VERSION};
 use crate::service::{JobStatus, Service, ServiceSnapshot};
 use platoon_sim::harness::json::{self, Value};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Most bytes a request line may hold before its newline. The largest full
+/// experiment grid (Table IV, 66 jobs) submits in about 6.5 KB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Most jobs one submit may carry: 4096 spelled specs still fit in
+/// [`MAX_REQUEST_BYTES`].
+pub const MAX_SUBMIT_JOBS: usize = 4096;
 
 /// A listening protocol server wrapped around a [`Service`].
 pub struct NetServer {
@@ -79,46 +97,88 @@ impl NetServer {
     }
 }
 
+/// What the connection does after a request has been answered.
+enum After {
+    /// Read the next request.
+    Serve,
+    /// Stop the server.
+    Shutdown,
+    /// Send this error as the last line and close the connection.
+    Reject(String),
+}
+
 fn handle_connection(
     stream: TcpStream,
     service: &Service,
     stop: &AtomicBool,
     addr: SocketAddr,
-) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut out = BufWriter::new(stream);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let cap = MAX_REQUEST_BYTES as u64 + 1;
+        if (&mut reader).take(cap).read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
         }
-        let shutdown = handle_request(&line, service, &mut writer)?;
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            service.shutdown();
-            // The accept loop is blocked in `incoming()`; poke it awake so
-            // it observes the stop flag and exits.
-            let _ = TcpStream::connect(addr);
-            break;
+        if !line.ends_with(b"\n") && line.len() > MAX_REQUEST_BYTES {
+            let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+            return reject(&mut out, &message);
+        }
+        let after = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => handle_request(text.trim_end_matches(['\r', '\n']), service, &mut out)?,
+            Err(_) => {
+                writeln!(out, "{}", error_line("request is not UTF-8"))?;
+                After::Serve
+            }
+        };
+        out.flush()?;
+        match after {
+            After::Serve => {}
+            After::Shutdown => {
+                stop.store(true, Ordering::SeqCst);
+                service.shutdown();
+                // The accept loop is blocked in `incoming()`; poke it awake
+                // so it observes the stop flag and exits.
+                let _ = TcpStream::connect(addr);
+                return Ok(());
+            }
+            After::Reject(message) => return reject(&mut out, &message),
         }
     }
-    Ok(())
 }
 
-/// Serves one request line; returns whether it was a shutdown.
-fn handle_request(line: &str, service: &Service, out: &mut TcpStream) -> std::io::Result<bool> {
+/// Sends `message` as the connection's last line and ends the stream. The
+/// caller then closes the socket, which resets the connection when client
+/// input is still unread; ending the stream first makes the client read the
+/// line and then end-of-file rather than a reset.
+fn reject(out: &mut BufWriter<TcpStream>, message: &str) -> io::Result<()> {
+    writeln!(out, "{}", error_line(message))?;
+    out.flush()?;
+    out.get_ref().shutdown(Shutdown::Write)
+}
+
+/// Serves one request line.
+fn handle_request(
+    line: &str,
+    service: &Service,
+    out: &mut BufWriter<TcpStream>,
+) -> io::Result<After> {
     let parsed = match json::parse(line) {
         Ok(v) => v,
         Err(e) => {
             writeln!(out, "{}", error_line(&format!("bad request JSON: {e}")))?;
-            return Ok(false);
+            return Ok(After::Serve);
         }
     };
     let kind = match parsed.get("type") {
         Some(Value::Str(s)) => s.clone(),
         _ => {
             writeln!(out, "{}", error_line("request needs a \"type\" field"))?;
-            return Ok(false);
+            return Ok(After::Serve);
         }
     };
     match kind.as_str() {
@@ -129,24 +189,30 @@ fn handle_request(line: &str, service: &Service, out: &mut TcpStream) -> std::io
                 w.field_str("code_version", CODE_VERSION);
             });
             writeln!(out, "{}", w.finish())?;
-            Ok(false)
+            Ok(After::Serve)
         }
         "stats" => {
             writeln!(out, "{}", stats_line(&service.snapshot()))?;
-            Ok(false)
+            Ok(After::Serve)
         }
         "shutdown" => {
             let mut w = json::Writer::compact();
             w.obj(|w| w.field_str("type", "ok"));
             writeln!(out, "{}", w.finish())?;
-            Ok(true)
+            Ok(After::Shutdown)
         }
         "submit" => {
             let specs = match parse_jobs(&parsed) {
+                Ok(specs) if specs.len() > MAX_SUBMIT_JOBS => {
+                    return Ok(After::Reject(format!(
+                        "submit holds {} jobs, more than {MAX_SUBMIT_JOBS}",
+                        specs.len()
+                    )));
+                }
                 Ok(specs) => specs,
                 Err(e) => {
                     writeln!(out, "{}", error_line(&e))?;
-                    return Ok(false);
+                    return Ok(After::Serve);
                 }
             };
             let n = specs.len();
@@ -194,7 +260,7 @@ fn handle_request(line: &str, service: &Service, out: &mut TcpStream) -> std::io
                 w.field_u64("failed", failed);
             });
             writeln!(out, "{}", w.finish())?;
-            Ok(false)
+            Ok(After::Serve)
         }
         other => {
             writeln!(
@@ -202,7 +268,7 @@ fn handle_request(line: &str, service: &Service, out: &mut TcpStream) -> std::io
                 "{}",
                 error_line(&format!("unknown request type {other:?}"))
             )?;
-            Ok(false)
+            Ok(After::Serve)
         }
     }
 }
@@ -274,6 +340,20 @@ impl ClientJobResult {
     }
 }
 
+/// The submit request for `specs`. It only has to parse, not be canonical,
+/// so it is built directly around the specs' canonical spellings.
+fn submit_line(specs: &[JobSpec]) -> String {
+    let mut line = String::from("{\"type\": \"submit\", \"jobs\": [");
+    for (i, spec) in specs.iter().enumerate() {
+        if i > 0 {
+            line.push_str(", ");
+        }
+        line.push_str(&spec.to_canonical_json());
+    }
+    line.push_str("]}");
+    line
+}
+
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -288,6 +368,7 @@ impl Client {
         loop {
             match TcpStream::connect(addr) {
                 Ok(stream) => {
+                    stream.set_nodelay(true)?;
                     let reader = BufReader::new(stream.try_clone()?);
                     return Ok(Client {
                         reader,
@@ -304,9 +385,14 @@ impl Client {
         }
     }
 
+    /// Sends `line` and its newline in one write.
     fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send: {e}"))?;
-        self.writer.flush().map_err(|e| format!("send: {e}"))
+        let mut message = String::with_capacity(line.len() + 1);
+        message.push_str(line);
+        message.push('\n');
+        self.writer
+            .write_all(message.as_bytes())
+            .map_err(|e| format!("send: {e}"))
     }
 
     fn recv(&mut self) -> Result<String, String> {
@@ -345,17 +431,7 @@ impl Client {
     /// Submits a batch and collects every result, returned in submission
     /// order.
     pub fn submit(&mut self, specs: &[JobSpec]) -> Result<Vec<ClientJobResult>, String> {
-        // The request line only has to parse, not be canonical — build it
-        // directly around the specs' canonical spellings.
-        let mut line = String::from("{\"type\": \"submit\", \"jobs\": [");
-        for (i, spec) in specs.iter().enumerate() {
-            if i > 0 {
-                line.push_str(", ");
-            }
-            line.push_str(&spec.to_canonical_json());
-        }
-        line.push_str("]}");
-        self.send(&line)?;
+        self.send(&submit_line(specs))?;
 
         let mut results = Vec::with_capacity(specs.len());
         loop {
@@ -419,6 +495,30 @@ impl Client {
         match json::parse(&reply)?.get("type") {
             Some(Value::Str(t)) if t == "ok" => Ok(()),
             _ => Err(format!("unexpected shutdown reply: {reply}")),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grids::{experiment_grid, EXPERIMENTS};
+
+    #[test]
+    fn every_full_grid_fits_the_request_caps() {
+        for name in EXPERIMENTS {
+            let specs = experiment_grid(name, false).expect("a named grid");
+            let line = submit_line(&specs);
+            assert!(
+                specs.len() <= MAX_SUBMIT_JOBS,
+                "{name}: {} jobs",
+                specs.len()
+            );
+            assert!(
+                line.len() <= MAX_REQUEST_BYTES,
+                "{name}: {} bytes",
+                line.len()
+            );
         }
     }
 }

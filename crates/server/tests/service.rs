@@ -4,13 +4,15 @@
 use platoon_server::cache::{CacheConfig, ResultCache};
 use platoon_server::grids::experiment_grid;
 use platoon_server::job::{cache_key, JobSpec, CODE_VERSION};
-use platoon_server::net::{Client, NetServer};
+use platoon_server::net::{Client, NetServer, MAX_REQUEST_BYTES, MAX_SUBMIT_JOBS};
 use platoon_server::service::{JobStatus, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A unique, empty scratch directory for one test.
 fn scratch(name: &str) -> PathBuf {
@@ -219,6 +221,99 @@ fn tcp_protocol_round_trips_and_hits_the_cache() {
 
     second_client.shutdown().expect("shutdown");
     server.join(); // returns only if the accept loop really stopped
+}
+
+/// An over-long request line and an over-long submit each get one error
+/// line and a closed connection; the server keeps serving other clients.
+#[test]
+fn over_cap_requests_are_refused_and_the_server_keeps_serving() {
+    let service = Arc::new(Service::start(ServiceConfig::default()).expect("service starts"));
+    let server = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
+    let addr = server.addr().to_string();
+
+    // A ping padded to twice the line cap, so that input is still unread
+    // when the server closes the connection. The server may close before
+    // the whole line is sent; only its reply matters.
+    let mut line = String::from("{\"type\": \"ping\", \"pad\": \"");
+    line.push_str(&"x".repeat(2 * MAX_REQUEST_BYTES));
+    line.push_str("\"}\n");
+    let mut raw = TcpStream::connect(&addr).expect("connect");
+    let _ = raw.write_all(line.as_bytes());
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply)
+        .expect("read until the server closes");
+    assert_eq!(reply.lines().count(), 1, "{reply}");
+    assert!(reply.starts_with("{\"type\": \"error\""), "{reply}");
+    assert!(reply.contains("exceeds"), "{reply}");
+
+    // One job past the submit cap: an error, and the connection is gone.
+    let mut client = Client::connect(&addr, Some(Duration::from_secs(5))).expect("connect");
+    let spec = JobSpec::Perf {
+        cell: "perf/acc/none/dsrc".into(),
+        quick: true,
+    };
+    let error = client
+        .submit(&vec![spec; MAX_SUBMIT_JOBS + 1])
+        .expect_err("an over-cap submit is refused");
+    assert!(error.contains("more than"), "{error}");
+    assert!(client.ping().is_err(), "the refused connection is closed");
+    assert_eq!(service.snapshot().service.submitted, 0);
+
+    let mut next = Client::connect(&addr, Some(Duration::from_secs(5))).expect("reconnect");
+    assert_eq!(next.ping().expect("ping after the refusals"), CODE_VERSION);
+    next.shutdown().expect("shutdown");
+    server.join();
+}
+
+fn median_ms(mut samples: Vec<Duration>) -> f64 {
+    samples.sort();
+    samples[samples.len() / 2].as_secs_f64() * 1e3
+}
+
+/// A round trip on loopback costs well under a millisecond of work. A
+/// message written in two pieces without `TCP_NODELAY` stalls about 40 ms
+/// per direction on the peer's delayed ACK, which these bounds catch.
+#[test]
+fn loopback_round_trips_do_not_wait_for_delayed_acks() {
+    let service = Arc::new(Service::start(ServiceConfig::default()).expect("service starts"));
+    let server = NetServer::spawn(Arc::clone(&service), "127.0.0.1:0").expect("server binds");
+    let mut client =
+        Client::connect(&server.addr().to_string(), Some(Duration::from_secs(5))).expect("connect");
+
+    let pings = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            client.ping().expect("ping");
+            t.elapsed()
+        })
+        .collect();
+    let ping_ms = median_ms(pings);
+    assert!(ping_ms < 20.0, "median ping {ping_ms:.1} ms");
+
+    let specs = vec![JobSpec::Perf {
+        cell: "perf/acc/none/dsrc".into(),
+        quick: true,
+    }];
+    assert_eq!(
+        client.submit(&specs).expect("cold submit")[0].status,
+        "done"
+    );
+    let resubmits = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            let results = client.submit(&specs).expect("warm submit");
+            assert!(results[0].is_hit());
+            t.elapsed()
+        })
+        .collect();
+    let resubmit_ms = median_ms(resubmits);
+    assert!(
+        resubmit_ms < 40.0,
+        "median all-hit resubmission {resubmit_ms:.1} ms"
+    );
+
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// A budget timeout fails the job with queue-wait-aware diagnostics, the

@@ -31,6 +31,7 @@ use crate::trace::{TraceDetail, TracePhase, TraceRecord, Tracer};
 use crate::world::{AuthMaterial, CommState, HeardPeer, PlatoonLayout, Rsu, VehicleNode, World};
 use platoon_crypto::cert::{CertificateAuthority, PrincipalId};
 use platoon_crypto::keys::{KeyPair, SymmetricKey};
+use platoon_crypto::sha256::Sha256;
 use platoon_crypto::signature::Signer;
 use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_detect::observation::{
@@ -95,8 +96,37 @@ struct StepScratch {
     seen_pairs: HashSet<(NodeId, NodeId)>,
     /// Protocol dedup: (receiver, payload hash) already applied this step.
     seen_payloads: HashSet<(usize, u64)>,
+    /// Protocol dedup: each distinct payload's hash, this step.
+    digests: PayloadDigests,
     /// Parallel sealing staging: (vehicle index, message, sealed nonce).
     seal_jobs: Vec<(usize, PlatoonMessage, u64)>,
+}
+
+/// The protocol-dedup hash of each distinct payload in one delivery round.
+///
+/// Every delivery of a frame, its hybrid copy and its VLC relays share one
+/// `Arc` allocation, so the SHA-256 runs once per allocation instead of
+/// once per delivery. The address (data pointer and length) is only the
+/// memo key: the dedup set still compares hash values, so two allocations
+/// holding equal bytes still merge. An address identifies bytes only while
+/// its allocation lives, so the memo is cleared at the start of every round
+/// and fed only payloads of that round's deliveries, which outlive it.
+#[derive(Debug, Default)]
+struct PayloadDigests(HashMap<(usize, usize), u64>);
+
+impl PayloadDigests {
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    /// `Sha256::digest(payload).to_u64()`, hashed on this round's first
+    /// sight of the allocation.
+    fn digest(&mut self, payload: &Payload) -> u64 {
+        *self
+            .0
+            .entry((payload.as_ptr() as usize, payload.len()))
+            .or_insert_with(|| Sha256::digest(payload).to_u64())
+    }
 }
 
 /// Outcome of the rng-free decode + authenticate pre-pass over one
@@ -1407,6 +1437,8 @@ impl Engine {
         // every copy via filter_rx (the hybrid cross-validator needs both).
         let mut seen_payloads = std::mem::take(&mut self.scratch.seen_payloads);
         seen_payloads.clear();
+        let mut digests = std::mem::take(&mut self.scratch.digests);
+        digests.clear();
         // Accepted message observations accumulate here in arrival order
         // and are handed to the detection pipeline in one batched ingest
         // after the loop. The constructed observations depend only on
@@ -1549,11 +1581,7 @@ impl Engine {
                 );
                 continue;
             }
-            let payload_key = (
-                rx_idx,
-                platoon_crypto::sha256::Sha256::digest(&delivery.payload).to_u64(),
-            );
-            if !seen_payloads.insert(payload_key) {
+            if !seen_payloads.insert((rx_idx, digests.digest(&delivery.payload))) {
                 continue; // duplicate channel copy already applied
             }
             if wants_observations {
@@ -1578,6 +1606,7 @@ impl Engine {
         }
         self.scratch.seen_pairs = seen_pairs;
         self.scratch.seen_payloads = seen_payloads;
+        self.scratch.digests = digests;
         self.scratch.observations = observations;
     }
 
@@ -2339,5 +2368,26 @@ impl Engine {
             events_dropped: self.events.dropped(),
             trace: self.tracer.as_ref().map(|t| t.digest()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn payload_digest_memo_is_the_sha256_dedup_key() {
+        let mut memo = PayloadDigests::default();
+        let beacon: Payload = b"sealed leader beacon".as_slice().into();
+        let want = Sha256::digest(&beacon).to_u64();
+        assert_eq!(memo.digest(&beacon), want);
+        // A clone shares the allocation: one entry, the same value.
+        assert_eq!(memo.digest(&beacon.clone()), want);
+        assert_eq!(memo.0.len(), 1);
+        // A byte copy is a second allocation with the same content hash,
+        // so protocol dedup still merges it with the original.
+        let copy: Payload = beacon.to_vec().into();
+        assert_eq!(memo.digest(&copy), want);
+        assert_eq!(memo.0.len(), 2);
     }
 }
