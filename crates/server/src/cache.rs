@@ -71,6 +71,14 @@ fn entry_file(key: u64) -> String {
     format!("{key:016x}.json")
 }
 
+/// The name an entry is written under before it is renamed into place. It
+/// does not end in `.json`, so [`parse_entry_file`] never loads it; the
+/// process id keeps two servers sharing one directory off each other's
+/// half-written files.
+fn temp_file(key: u64) -> String {
+    format!("{key:016x}.json.{}.tmp", std::process::id())
+}
+
 /// Parses a `{key:016x}.json` file name back to its key.
 fn parse_entry_file(name: &str) -> Option<u64> {
     let hex = name.strip_suffix(".json")?;
@@ -131,7 +139,11 @@ impl ResultCache {
     }
 
     /// Inserts a document, persisting it when a store directory is set and
-    /// evicting LRU entries past the byte budget. Returns the shared
+    /// evicting LRU entries past the byte budget. The file is written under
+    /// a temporary name and renamed into place, so a process killed
+    /// mid-write never leaves a truncated `<key>.json` behind for
+    /// [`open`](Self::open) to serve. Nothing is synced to disk, so this
+    /// does not cover a power loss. Returns the shared
     /// document (the existing one if the key was already present — the
     /// determinism invariant makes any two documents for one key
     /// byte-identical, so first-write wins is safe).
@@ -141,7 +153,9 @@ impl ResultCache {
             return Ok(existing);
         }
         if let Some(dir) = &self.config.dir {
-            std::fs::write(dir.join(entry_file(key)), document)?;
+            let temp = dir.join(temp_file(key));
+            std::fs::write(&temp, document)?;
+            std::fs::rename(&temp, dir.join(entry_file(key)))?;
         }
         let doc: Arc<str> = Arc::from(document);
         self.attach(key, doc.clone());
@@ -259,6 +273,34 @@ mod tests {
         c.insert(2, "also enormous for this budget").unwrap();
         assert!(c.get(1).is_none(), "the older giant goes");
         assert!(c.get(2).is_some());
+    }
+
+    #[test]
+    fn entries_land_whole_and_leftover_temp_files_are_ignored() {
+        let dir = std::env::temp_dir().join(format!("platoon-cache-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = CacheConfig {
+            max_bytes: 1 << 20,
+            dir: Some(dir.clone()),
+        };
+        let mut c = ResultCache::open(config.clone()).unwrap();
+        c.insert(0xA, "{\"a\": 1}").unwrap();
+        c.insert(0xB, "{\"b\": 2}").unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, [entry_file(0xA), entry_file(0xB)]);
+
+        // A server killed mid-write leaves a truncated temp file behind.
+        std::fs::write(dir.join(temp_file(0xC)), "{\"c\": ").unwrap();
+        let mut reopened = ResultCache::open(config).unwrap();
+        assert_eq!(reopened.stats().loaded, 2, "the temp file is not an entry");
+        assert_eq!(reopened.len(), 2);
+        assert!(reopened.get(0xC).is_none());
+        assert_eq!(reopened.get(0xA).as_deref(), Some("{\"a\": 1}"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -53,12 +53,12 @@ use platoon_proto::envelope::Envelope;
 use platoon_proto::maneuver::{JoinOutcome, ManeuverEngine};
 use platoon_proto::membership::Roster;
 use platoon_proto::messages::{Beacon, PlatoonId, PlatoonMessage, Role};
+use platoon_v2x::hash::{FxHashMap, FxHashSet};
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload, Position};
 use platoon_v2x::spatial::SpatialGrid;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::collections::{HashMap, HashSet};
 
 /// Salt for deriving the trusted authority's key pair from the scenario seed.
 const CA_SEED_SALT: u64 = 0xCA00_0000_0000_0001;
@@ -93,9 +93,9 @@ struct StepScratch {
     /// Controller commands.
     commands: Vec<f64>,
     /// PDR dedup: (sender, receiver) pairs already counted this step.
-    seen_pairs: HashSet<(NodeId, NodeId)>,
+    seen_pairs: FxHashSet<(NodeId, NodeId)>,
     /// Protocol dedup: (receiver, payload hash) already applied this step.
-    seen_payloads: HashSet<(usize, u64)>,
+    seen_payloads: FxHashSet<(usize, u64)>,
     /// Protocol dedup: each distinct payload's hash, this step.
     digests: PayloadDigests,
     /// Parallel sealing staging: (vehicle index, message, sealed nonce).
@@ -112,7 +112,7 @@ struct StepScratch {
 /// its allocation lives, so the memo is cleared at the start of every round
 /// and fed only payloads of that round's deliveries, which outlive it.
 #[derive(Debug, Default)]
-struct PayloadDigests(HashMap<(usize, usize), u64>);
+struct PayloadDigests(FxHashMap<(usize, usize), u64>);
 
 impl PayloadDigests {
     fn clear(&mut self) {
@@ -127,20 +127,6 @@ impl PayloadDigests {
             .entry((payload.as_ptr() as usize, payload.len()))
             .or_insert_with(|| Sha256::digest(payload).to_u64())
     }
-}
-
-/// Outcome of the rng-free decode + authenticate pre-pass over one
-/// delivery, computed in parallel when the engine runs multi-threaded.
-/// Consumed in delivery order by the sequential protocol loop.
-#[derive(Debug, Default)]
-enum PreVerdict {
-    /// Receiver is not a vehicle: the delivery is skipped entirely.
-    #[default]
-    Skip,
-    /// The payload failed to decode as an envelope.
-    Undecodable,
-    /// Decoded; carries the engine-level authentication verdict.
-    Verified(Envelope, Result<PlatoonMessage, RejectReason>),
 }
 
 /// A passive tap on the accepted-message observation stream.
@@ -251,7 +237,7 @@ pub struct Engine {
     /// Manoeuvre responses queued by the leader for the next step.
     outbox: Vec<(usize, PlatoonMessage)>,
     /// Latest claimed position per principal (from any accepted beacon).
-    claimed_positions: HashMap<PrincipalId, (f64, f64)>,
+    claimed_positions: FxHashMap<PrincipalId, (f64, f64)>,
     /// Count of messages rejected by verification or defenses.
     rejected_messages: usize,
     /// Count of detections raised by defenses.
@@ -395,7 +381,7 @@ impl Engine {
             events: EventLog::default(),
             rng,
             outbox: Vec::new(),
-            claimed_positions: HashMap::new(),
+            claimed_positions: FxHashMap::default(),
             rejected_messages: 0,
             detections: 0,
             pipeline: None,
@@ -420,7 +406,7 @@ impl Engine {
     }
 
     /// Sets the number of worker threads for the shardable per-vehicle step
-    /// phases (frame sealing, delivery verification, dynamics substeps).
+    /// phases (frame sealing, dynamics substeps).
     ///
     /// Results are **byte-identical for every thread count**: work is
     /// sharded in contiguous index chunks and merged in vehicle order, and
@@ -1393,33 +1379,21 @@ impl Engine {
 
     /// Engine-level authentication per the deployed key scheme.
     fn authenticate(&self, env: &Envelope, now: f64) -> Result<PlatoonMessage, RejectReason> {
-        Self::authenticate_with(self.scenario.auth, &self.group_key, &self.ca, env, now)
-    }
-
-    /// The borrow-friendly body of [`Self::authenticate`]: pure verification
-    /// against immutable key material, shardable across threads.
-    fn authenticate_with(
-        auth: AuthMode,
-        group_key: &SymmetricKey,
-        ca: &CertificateAuthority,
-        env: &Envelope,
-        now: f64,
-    ) -> Result<PlatoonMessage, RejectReason> {
-        match auth {
+        match self.scenario.auth {
             AuthMode::None => env.open_unverified().map_err(|_| RejectReason::AuthFailed),
             AuthMode::GroupMac => env
-                .verify_mac(group_key)
+                .verify_mac(&self.group_key)
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::EncryptedGroupMac => env
-                .open_encrypted(group_key)
+                .open_encrypted(&self.group_key)
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::Pki => {
                 if let platoon_proto::envelope::AuthScheme::Signed { certificate, .. } = &env.auth {
-                    if ca.is_revoked(certificate.serial()) {
+                    if self.ca.is_revoked(certificate.serial()) {
                         return Err(RejectReason::Distrusted);
                     }
                 }
-                env.verify_signed(&ca.public(), ca.id(), now)
+                env.verify_signed(&self.ca.public(), self.ca.id(), now)
                     .map_err(|_| RejectReason::AuthFailed)
             }
         }
@@ -1447,31 +1421,6 @@ impl Engine {
         // exact per-delivery stream the detectors saw before.
         let mut observations = std::mem::take(&mut self.scratch.observations);
         observations.clear();
-        // Rng-free pre-pass: envelope decode + cryptographic verification,
-        // sharded across threads. Safe because the identity maps, the key
-        // material and the CA are immutable for the duration of the delivery
-        // loop; all stateful work (PDR accounting, defenses, protocol
-        // application) stays sequential below, in delivery order.
-        let mut pre: Option<Vec<PreVerdict>> = if self.threads > 1 && deliveries.len() > 1 {
-            let world = &self.world;
-            let auth_mode = self.scenario.auth;
-            let group_key = &self.group_key;
-            let ca = &self.ca;
-            Some(par::map_indexed(deliveries, self.threads, |_, delivery| {
-                if world.index_of_node(delivery.receiver).is_none() {
-                    return PreVerdict::Skip;
-                }
-                match Envelope::decode(&delivery.payload) {
-                    Ok(env) => {
-                        let verdict = Self::authenticate_with(auth_mode, group_key, ca, &env, now);
-                        PreVerdict::Verified(env, verdict)
-                    }
-                    Err(_) => PreVerdict::Undecodable,
-                }
-            }))
-        } else {
-            None
-        };
         // Co-location context for the detector observations: with a finite
         // radio horizon the all-vehicle scan per observation becomes a grid
         // query. Positions are frozen for the whole delivery loop (kinematics
@@ -1499,7 +1448,7 @@ impl Engine {
         // Platoon layout cache for `apply_message`, invalidated whenever a
         // manoeuvre rewrites platoon membership mid-loop.
         let mut layout_cache: Option<PlatoonLayout> = None;
-        for (di, delivery) in deliveries.iter().enumerate() {
+        for delivery in deliveries {
             let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
                 continue; // RSU or attacker receiver; vehicles only here.
             };
@@ -1512,19 +1461,11 @@ impl Engine {
                     delivery.latency,
                 );
             }
-            let (env, auth_verdict) = match pre.as_mut().map(|p| std::mem::take(&mut p[di])) {
-                None => match Envelope::decode(&delivery.payload) {
-                    Ok(env) => {
-                        let verdict = self.authenticate(&env, now);
-                        (env, verdict)
-                    }
-                    Err(_) => continue,
-                },
-                Some(PreVerdict::Verified(env, verdict)) => (env, verdict),
-                Some(PreVerdict::Undecodable) | Some(PreVerdict::Skip) => continue,
+            let Ok(env) = Envelope::decode(&delivery.payload) else {
+                continue;
             };
             // Engine-level authentication.
-            let msg = match auth_verdict {
+            let msg = match self.authenticate(&env, now) {
                 Ok(msg) => msg,
                 Err(reason) => {
                     self.rejected_messages += 1;

@@ -640,12 +640,19 @@ pub mod json {
                             *pos += 1;
                         }
                         Some(_) => {
-                            // Consume one UTF-8 scalar (multi-byte safe).
-                            let rest =
-                                std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                            let c = rest.chars().next().expect("non-empty");
-                            s.push(c);
-                            *pos += c.len_utf8();
+                            // Copy the whole run up to the next quote or
+                            // backslash at once. Both stop bytes are ASCII
+                            // and the input came from a `&str`, so every run
+                            // is whole UTF-8; checking only the run keeps the
+                            // parse linear in the input.
+                            let end = b[*pos..]
+                                .iter()
+                                .position(|&c| c == b'"' || c == b'\\')
+                                .map_or(b.len(), |n| *pos + n);
+                            let run =
+                                std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?;
+                            s.push_str(run);
+                            *pos = end;
                         }
                     }
                 }
@@ -1469,6 +1476,46 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"open", "{\"a\":1}x"] {
             assert!(json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_exactly_in_linear_time() {
+        // Every escape the parser knows, plain multibyte runs, and each
+        // escape directly followed by a multibyte character. The time bound
+        // catches a parse that is quadratic in the string's length: one
+        // that re-validates the rest of the input per character needs
+        // seconds for this input even in a release build.
+        let pieces: [(&str, &str); 12] = [
+            ("plain ascii run ", "plain ascii run "),
+            ("é", "é"),
+            ("中文", "中文"),
+            ("😀", "😀"),
+            ("\\\"é", "\"é"),
+            ("\\\\中", "\\中"),
+            ("\\/", "/"),
+            ("\\n😀", "\n😀"),
+            ("\\t", "\t"),
+            ("\\r", "\r"),
+            ("\\u00e9", "é"),
+            ("\\u0001x", "\u{1}x"),
+        ];
+        let (mut text, mut want) = (String::from("{\"s\": \""), String::new());
+        while text.len() < 256 << 10 {
+            for (encoded, decoded) in pieces {
+                text.push_str(encoded);
+                want.push_str(decoded);
+            }
+        }
+        text.push_str("\"}");
+        let start = std::time::Instant::now();
+        let value = json::parse(&text).expect("long string parses");
+        let elapsed = start.elapsed();
+        assert_eq!(value.get("s"), Some(&Value::Str(want)));
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "parsing {} bytes took {elapsed:?}",
+            text.len()
+        );
     }
 
     #[test]

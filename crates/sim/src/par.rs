@@ -1,7 +1,7 @@
 //! Deterministic intra-run parallelism helpers.
 //!
-//! The engine shards independent per-vehicle work (frame sealing, delivery
-//! verification, dynamics substeps) across scoped threads. Determinism is
+//! The engine shards independent per-vehicle work (frame sealing, dynamics
+//! substeps) across scoped threads. Determinism is
 //! preserved structurally: items are split into **contiguous index chunks**,
 //! each item's result is written to **its own slot**, and callers consume
 //! results in **item order** — never completion order. The thread count can

@@ -9,10 +9,10 @@ use platoon_dynamics::fuel::FuelMeter;
 use platoon_dynamics::sensors::SensorSuite;
 use platoon_dynamics::vehicle::Vehicle;
 use platoon_proto::messages::{PlatoonId, Role};
+use platoon_v2x::hash::FxHashMap;
 use platoon_v2x::jamming::Jammer;
 use platoon_v2x::medium::RadioMedium;
 use platoon_v2x::message::{NodeId, Payload, Position};
-use std::collections::HashMap;
 
 /// Credential material a vehicle uses to seal outgoing messages.
 #[derive(Clone, Debug)]
@@ -204,9 +204,9 @@ pub struct World {
     /// Active jammers (attacks add and remove these).
     pub jammers: Vec<Jammer>,
     /// Principal → vehicle index, rebuilt on membership mutation.
-    principal_lookup: HashMap<PrincipalId, usize>,
+    principal_lookup: FxHashMap<PrincipalId, usize>,
     /// Radio node → vehicle index, rebuilt on membership mutation.
-    node_lookup: HashMap<NodeId, usize>,
+    node_lookup: FxHashMap<NodeId, usize>,
 }
 
 /// Per-tick platoon layout computed in one O(n) pass, replacing the
@@ -234,8 +234,8 @@ impl World {
             rsus,
             medium,
             jammers,
-            principal_lookup: HashMap::new(),
-            node_lookup: HashMap::new(),
+            principal_lookup: FxHashMap::default(),
+            node_lookup: FxHashMap::default(),
         };
         world.rebuild_lookup();
         world
@@ -341,7 +341,7 @@ impl World {
             leader_index: Vec::with_capacity(n),
         };
         // (members seen so far, index of first member) per platoon.
-        let mut seen: HashMap<PlatoonId, (usize, usize)> = HashMap::new();
+        let mut seen: FxHashMap<PlatoonId, (usize, usize)> = FxHashMap::default();
         for (i, v) in self.vehicles.iter().enumerate() {
             let entry = seen.entry(v.platoon).or_insert((0, i));
             layout.local_index.push(entry.0);

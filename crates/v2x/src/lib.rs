@@ -11,6 +11,7 @@
 //!   C-V2X semi-persistent slots and VLC optical links.
 //! * [`vlc`] — the line-of-sight visible-light channel used by the SP-VLC
 //!   hybrid defense.
+//! * [`hash`] — the deterministic hasher for maps keyed by simulation state.
 //! * [`spatial`] — uniform-grid index turning all-pairs reception scans into
 //!   range queries for highway-scale (multi-platoon) worlds.
 //! * [`jamming`] — continuous / periodic / reactive RF jammers.
@@ -46,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+pub mod hash;
 pub mod jamming;
 pub mod medium;
 pub mod message;

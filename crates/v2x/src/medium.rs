@@ -308,6 +308,11 @@ impl RadioMedium {
     /// ascending — never bucket order — the rng draw sequence and the
     /// floating-point interference sums match the all-pairs scan whenever
     /// the horizon covers the geometry.
+    ///
+    /// Whether another frame overlaps this one in time does not depend on
+    /// the receiver, so the overlapping candidates are collected once per
+    /// frame ([`overlapping_frames`]); each receiver then runs only its
+    /// horizon check and the power sum over that list, in the same order.
     #[allow(clippy::too_many_arguments)]
     fn deliver_rf<R: Rng + ?Sized>(
         &self,
@@ -335,6 +340,7 @@ impl RadioMedium {
         };
         let mut rx_cand: Vec<u32> = Vec::new();
         let mut near_frames: Vec<u32> = Vec::new();
+        let mut interferers: Vec<u32> = Vec::new();
         for (i, sf) in scheduled.iter().enumerate() {
             let (rx_list, frame_list): (&[u32], &[u32]) = match index {
                 Some((rx_grid, frame_grid)) => {
@@ -344,6 +350,7 @@ impl RadioMedium {
                 }
                 None => (&all_rx, &all_frames),
             };
+            overlapping_frames(scheduled, i, frame_list, &mut interferers);
             for &r in rx_list {
                 let rx = &receivers[r as usize];
                 if rx.id == sf.frame.sender {
@@ -355,27 +362,12 @@ impl RadioMedium {
 
                 // Interference: temporally overlapping frames on the same
                 // channel (hidden terminals) plus jammers targeting it.
-                let mut interference_mw = 0.0;
-                for &j in frame_list {
-                    let j = j as usize;
-                    if i == j {
-                        continue;
-                    }
-                    let other = &scheduled[j];
-                    let overlap = sf.start < other.end && other.start < sf.end;
-                    if overlap {
-                        let dj = distance(other.frame.origin, rx.position);
-                        // NaN distances count as out of range, like `deliver`.
-                        let in_horizon = dj <= horizon;
-                        if index.is_some() && !in_horizon {
-                            // Beyond the horizon this interferer is out of
-                            // range of the receiver by model definition.
-                            continue;
-                        }
-                        interference_mw +=
-                            dbm_to_mw(self.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
-                    }
-                }
+                let mut interference_mw = self.frame_interference_mw(
+                    scheduled,
+                    &interferers,
+                    rx.position,
+                    index.is_some(),
+                );
                 for jam in jammers {
                     if jam.target == channel && jam.is_active(now, traffic_on_air) {
                         interference_mw += jam.interference_mw(&self.dsrc, rx.position);
@@ -398,6 +390,47 @@ impl RadioMedium {
             }
         }
     }
+
+    /// Summed median power at `at` of the `interferers` (indices into
+    /// `scheduled`), in list order. With a finite horizon (`indexed`), an
+    /// interferer beyond the horizon of `at` is out of range by model
+    /// definition and contributes nothing.
+    fn frame_interference_mw(
+        &self,
+        scheduled: &[ScheduledFrame],
+        interferers: &[u32],
+        at: Position,
+        indexed: bool,
+    ) -> f64 {
+        let mut interference_mw = 0.0;
+        for &j in interferers {
+            let other = &scheduled[j as usize];
+            let dj = distance(other.frame.origin, at);
+            // NaN distances count as out of range, like `deliver`.
+            let in_horizon = dj <= self.radio_horizon_m;
+            if indexed && !in_horizon {
+                continue;
+            }
+            interference_mw += dbm_to_mw(self.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
+        }
+        interference_mw
+    }
+}
+
+/// Collects into `out`, in `candidates` order, every candidate frame other
+/// than frame `i` whose airtime overlaps frame `i`'s.
+fn overlapping_frames(
+    scheduled: &[ScheduledFrame],
+    i: usize,
+    candidates: &[u32],
+    out: &mut Vec<u32>,
+) {
+    let sf = &scheduled[i];
+    out.clear();
+    out.extend(candidates.iter().copied().filter(|&j| {
+        let other = &scheduled[j as usize];
+        j as usize != i && sf.start < other.end && other.start < sf.end
+    }));
 }
 
 #[cfg(test)]
@@ -631,6 +664,218 @@ mod tests {
                 "rng streams diverged at seed {seed}"
             );
         }
+    }
+
+    /// Reference: `deliver_rf` with the overlap test inside the per-pair
+    /// loop, so every (frame, receiver) pair re-tests every candidate frame.
+    /// At each pair it also asserts that the list `deliver_rf` builds once
+    /// per frame sums to the same bits at that receiver. Returns
+    /// the deliveries, the stats and how many pairs frame interference
+    /// alone lost (they would decode against noise and jammers).
+    fn reference_deliver_rf(
+        medium: &RadioMedium,
+        channel: ChannelKind,
+        scheduled: &[ScheduledFrame],
+        receivers: &[Receiver],
+        jammers: &[Jammer],
+        index: Option<(&SpatialGrid, &SpatialGrid)>,
+        rng: &mut StdRng,
+    ) -> (Vec<Delivery>, StepStats, usize) {
+        let horizon = medium.radio_horizon_m;
+        let mut deliveries = Vec::new();
+        let mut stats = StepStats::default();
+        let mut lost_to_frames = 0;
+        let (mut rx_list, mut frame_list, mut list) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, sf) in scheduled.iter().enumerate() {
+            match index {
+                Some((rx_grid, frame_grid)) => {
+                    rx_grid.query_within(sf.frame.origin, horizon, &mut rx_list);
+                    frame_grid.query_within(sf.frame.origin, 2.0 * horizon, &mut frame_list);
+                }
+                None => {
+                    rx_list = (0..receivers.len() as u32).collect();
+                    frame_list = (0..scheduled.len() as u32).collect();
+                }
+            }
+            overlapping_frames(scheduled, i, &frame_list, &mut list);
+            for &r in &rx_list {
+                let rx = &receivers[r as usize];
+                if rx.id == sf.frame.sender {
+                    continue;
+                }
+                stats.pairs_considered += 1;
+                let d = distance(sf.frame.origin, rx.position);
+                let signal_dbm = medium.dsrc.sample_rx_power_dbm(sf.frame.power_dbm, d, rng);
+                let mut interference_mw = 0.0;
+                for &j in &frame_list {
+                    let j = j as usize;
+                    if i == j {
+                        continue;
+                    }
+                    let other = &scheduled[j];
+                    if sf.start < other.end && other.start < sf.end {
+                        let dj = distance(other.frame.origin, rx.position);
+                        let in_horizon = dj <= horizon;
+                        if index.is_some() && !in_horizon {
+                            continue;
+                        }
+                        interference_mw +=
+                            dbm_to_mw(medium.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
+                    }
+                }
+                let listed =
+                    medium.frame_interference_mw(scheduled, &list, rx.position, index.is_some());
+                assert_eq!(
+                    listed.to_bits(),
+                    interference_mw.to_bits(),
+                    "frame {i} at receiver {r}: list {list:?} of candidates {frame_list:?}"
+                );
+                let mut jam_mw = 0.0;
+                for jam in jammers {
+                    if jam.target == channel && jam.is_active(0.0, true) {
+                        let mw = jam.interference_mw(&medium.dsrc, rx.position);
+                        interference_mw += mw;
+                        jam_mw += mw;
+                    }
+                }
+                if medium.dsrc.decodes(signal_dbm, interference_mw) {
+                    deliveries.push(Delivery {
+                        sender: sf.frame.sender,
+                        receiver: rx.id,
+                        channel,
+                        latency: sf.end,
+                        rssi_dbm: signal_dbm,
+                        payload: sf.frame.payload.clone(),
+                    });
+                    stats.delivered += 1;
+                } else {
+                    stats.lost += 1;
+                    lost_to_frames += usize::from(medium.dsrc.decodes(signal_dbm, jam_mw));
+                }
+            }
+        }
+        (deliveries, stats, lost_to_frames)
+    }
+
+    /// Runs `deliver_rf` and the reference on the same schedule and rng
+    /// state, at an infinite and at a finite horizon, over several seeds;
+    /// returns the pairs frame interference alone lost.
+    fn interferer_list_matches_reference(
+        channel: ChannelKind,
+        frames: &[Frame],
+        receivers: &[Receiver],
+        jammers: &[Jammer],
+        step_len: f64,
+    ) -> usize {
+        let mut lost_to_frames = 0;
+        for horizon in [f64::INFINITY, 700.0] {
+            let medium = RadioMedium {
+                step_len,
+                radio_horizon_m: horizon,
+                ..RadioMedium::default()
+            };
+            for seed in 0..10 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let refs: Vec<&Frame> = frames.iter().collect();
+                let scheduled = match channel {
+                    ChannelKind::Dsrc => medium.schedule_csma(&refs, &mut rng),
+                    _ => medium.schedule_sps(&refs),
+                };
+                let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
+                let grids = horizon.is_finite().then(|| {
+                    (
+                        SpatialGrid::build(medium.grid_cell(), &positions),
+                        medium.frame_grid(&scheduled),
+                    )
+                });
+                let index = grids.as_ref().map(|(rx, fr)| (rx, fr));
+                let mut rng_ref = rng.clone();
+                let (want, want_stats, lost) = reference_deliver_rf(
+                    &medium,
+                    channel,
+                    &scheduled,
+                    receivers,
+                    jammers,
+                    index,
+                    &mut rng_ref,
+                );
+                let (mut got, mut got_stats) = (Vec::new(), StepStats::default());
+                medium.deliver_rf(
+                    0.0,
+                    channel,
+                    &scheduled,
+                    receivers,
+                    jammers,
+                    true,
+                    index,
+                    &mut got,
+                    &mut got_stats,
+                    &mut rng,
+                );
+                assert_eq!(got, want, "horizon {horizon}, seed {seed}");
+                assert_eq!(got_stats, want_stats, "horizon {horizon}, seed {seed}");
+                assert_eq!(
+                    rand::RngCore::next_u64(&mut rng),
+                    rand::RngCore::next_u64(&mut rng_ref),
+                    "rng streams diverged: horizon {horizon}, seed {seed}"
+                );
+                lost_to_frames += lost;
+            }
+        }
+        lost_to_frames
+    }
+
+    #[test]
+    fn interferer_list_is_exact_when_interference_matters() {
+        // C-V2X: ids i, i + 100 and i + 200 share SPS slot i, so each frame
+        // overlaps two others; a C-V2X jammer sits mid-road.
+        let cv2x: Vec<Frame> = (0..4u64)
+            .flat_map(|i| {
+                (0..3u64).map(move |k| {
+                    frame(
+                        i + 100 * k,
+                        k as f64 * 600.0 + i as f64 * 40.0,
+                        ChannelKind::CV2x,
+                    )
+                })
+            })
+            .collect();
+        let receivers: Vec<Receiver> = (0..30)
+            .map(|i| Receiver {
+                id: NodeId(1000 + i as u64),
+                position: (i as f64 * 45.0 - 50.0, 3.5),
+            })
+            .collect();
+        let cv2x_jammer = Jammer {
+            target: ChannelKind::CV2x,
+            ..Jammer::continuous((650.0, 20.0), -5.0)
+        };
+        let lost = interferer_list_matches_reference(
+            ChannelKind::CV2x,
+            &cv2x,
+            &receivers,
+            &[cv2x_jammer],
+            0.1,
+        );
+        assert!(
+            lost > 0,
+            "no C-V2X delivery was lost to a slot-sharing sender"
+        );
+
+        // DSRC: senders 450 m apart cannot carrier-sense each other, so in
+        // a short step they all collide at the receivers between them; a
+        // DSRC jammer adds to the budget.
+        let dsrc: Vec<Frame> = (0..5u64)
+            .map(|i| frame(i, i as f64 * 450.0, ChannelKind::Dsrc))
+            .collect();
+        let lost = interferer_list_matches_reference(
+            ChannelKind::Dsrc,
+            &dsrc,
+            &receivers,
+            &[Jammer::continuous((900.0, 20.0), -5.0)],
+            0.0005,
+        );
+        assert!(lost > 0, "no DSRC delivery was lost to a hidden terminal");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cumulative link statistics: packet delivery ratio, latency and beacon age
 //! tracking — the availability metrics of the jamming and DoS experiments.
 
+use crate::hash::FxHashMap;
 use crate::message::NodeId;
 use std::collections::HashMap;
 
@@ -8,9 +9,9 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct LinkStats {
     /// Frames offered per sender.
-    offered: HashMap<NodeId, u64>,
+    offered: FxHashMap<NodeId, u64>,
     /// (sender → receiver) successful deliveries.
-    delivered: HashMap<(NodeId, NodeId), u64>,
+    delivered: FxHashMap<(NodeId, NodeId), u64>,
     /// Sum and count of delivery latencies.
     latency_sum: f64,
     latency_count: u64,
