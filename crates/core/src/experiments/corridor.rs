@@ -27,7 +27,7 @@ use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::engine::Engine;
 use platoon_sim::harness::{golden, json, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{
-    AuthMode, JoinerAgent, JoinerCredentials, RunSummary, Scenario, ScenarioBuilder,
+    steps_for, AuthMode, JoinerAgent, JoinerCredentials, RunSummary, Scenario, ScenarioBuilder,
 };
 use platoon_trace::TraceRecorder;
 use platoon_v2x::message::NodeId;
@@ -130,7 +130,7 @@ pub fn corridor_arm(
         )
         .with_trail_gap(join_trail_gap),
     ));
-    let steps = (duration / comm_step).round() as u64;
+    let steps = steps_for(duration, comm_step);
     let split_at = steps / 3;
     let merge_at = steps * 2 / 3;
     let t0 = Instant::now();
@@ -518,6 +518,13 @@ mod tests {
             summary.maneuvers.joins_accepted >= 1,
             "the corridor joiner was never accepted"
         );
+    }
+
+    #[test]
+    fn a_half_step_duration_runs_the_engines_tick_count() {
+        // 0.25 s at 0.1 s ticks is two whole ticks; rounding ran a third.
+        let run = corridor_arm("corridor/half-step", 4, 2, 0.25, CORRIDOR_HORIZON_M, 1, 7);
+        assert_eq!(run.summary.perf.ticks, steps_for(0.25, 0.1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every experiment is deterministic given its seeds and comes in two
 //! effort levels: `quick` (used by the test suite: shorter runs, fewer
-//! sweep points) and full (used by `cargo bench` and the `report` command).
+//! sweep points) and full (used by the `report` command).
 
 pub mod ablations;
 pub mod campaign;

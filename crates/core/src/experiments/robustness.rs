@@ -12,7 +12,7 @@
 //! control) against a benign arm and a representative attack arm, with the
 //! default detector pipeline attached. It doubles as the crash-isolation
 //! proof for the harness: the grid runs through
-//! [`Batch::run_outcomes`], so a panicking or hung cell (see
+//! [`Batch::run_outcomes`], so a panicking cell (see
 //! [`run_with`]'s `inject_panic`) is recorded as a failed job in the
 //! canonical document instead of taking the batch down, and every other
 //! cell still reports.

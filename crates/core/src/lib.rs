@@ -13,8 +13,8 @@
 //!   detection-quality table for the `platoon-detect` pipeline) and F1–F10
 //!   (the per-attack impact sweeps); see DESIGN.md §3 for the index.
 //! * [`tables`] — plain-text table rendering.
-//! * [`perf`] — the machine-readable perf pipeline: the fixed scenario grid
-//!   behind `BENCH_*.json`, the counters golden and the CI wall-time gate.
+//! * [`perf`] — the perf grid: the fixed scenario grid behind `BENCH_*.json`
+//!   and its exact work-counters golden.
 //! * [`report`] — every table and figure as one text report
 //!   (`cargo run --release -- report`).
 //!

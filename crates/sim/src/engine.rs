@@ -98,7 +98,7 @@ struct StepScratch {
     seen_payloads: FxHashSet<(usize, u64)>,
     /// Protocol dedup: each distinct payload's hash, this step.
     digests: PayloadDigests,
-    /// Parallel sealing staging: (vehicle index, message, sealed nonce).
+    /// Beacon sealing staging: (vehicle index, message, sealed nonce).
     seal_jobs: Vec<(usize, PlatoonMessage, u64)>,
 }
 
@@ -411,14 +411,9 @@ impl Engine {
     /// Results are **byte-identical for every thread count**: work is
     /// sharded in contiguous index chunks and merged in vehicle order, and
     /// every rng-consuming phase stays sequential. `1` (the default) runs
-    /// the plain sequential path with zero thread overhead.
+    /// the same path inline, with zero thread overhead.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// Current intra-run worker thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Cumulative RF (frame, receiver) pairs the medium sampled across the
@@ -1219,12 +1214,12 @@ impl Engine {
         // Beacons from every operational vehicle. A regime phase with a
         // beacon cadence divisor (congestion-control backoff) silences
         // whole ticks; manoeuvre traffic in the outbox below still goes out.
-        if self.regime.beacon_this_tick && self.threads > 1 {
-            // Sharded sealing. The rng-consuming half (GPS measurement,
-            // seq/nonce counters) runs sequentially in vehicle order first —
-            // exactly the draws the sequential loop makes — then the pure
-            // seal + encode work (MACs, encryption, deterministic
-            // signatures) fans out, and frames are pushed in vehicle order.
+        if self.regime.beacon_this_tick {
+            // The rng-consuming half (GPS measurement, seq/nonce counters)
+            // runs sequentially in vehicle order; the pure seal + encode
+            // work (MACs, encryption, deterministic signatures) is sharded
+            // across the engine threads, and frames are pushed in vehicle
+            // order.
             let mut jobs = std::mem::take(&mut self.scratch.seal_jobs);
             jobs.clear();
             for (idx, v) in self.world.vehicles.iter_mut().enumerate() {
@@ -1246,61 +1241,9 @@ impl Engine {
                 });
             for ((idx, _, _), payload) in jobs.iter().zip(payloads) {
                 let v = &self.world.vehicles[*idx];
-                self.perf.bytes_encoded += payload.len() as u64;
-                self.perf.frames_built += 1;
-                self.perf.frame_bytes += payload.len() as u64;
-                frames.push(Frame {
-                    sender: v.node,
-                    origin: v.position(),
-                    power_dbm: power,
-                    channel: ChannelKind::Dsrc,
-                    payload: payload.clone(),
-                });
-                if let Some(channel) = hybrid_channel {
-                    self.perf.frames_built += 1;
-                    self.perf.frame_bytes += payload.len() as u64;
-                    self.perf.payload_clones_avoided += 1;
-                    frames.push(Frame {
-                        sender: v.node,
-                        origin: v.position(),
-                        power_dbm: power,
-                        channel,
-                        payload,
-                    });
-                }
+                Self::push_sealed(&mut self.perf, frames, v, power, hybrid_channel, payload);
             }
             self.scratch.seal_jobs = jobs;
-        } else if self.regime.beacon_this_tick {
-            for v in self.world.vehicles.iter_mut() {
-                if !v.platooning_enabled {
-                    continue;
-                }
-                let beacon = Self::beacon_for(v, now, &mut self.rng);
-                let env = Self::seal(v, &PlatoonMessage::Beacon(beacon));
-                let payload: Payload = env.encode().into();
-                self.perf.bytes_encoded += payload.len() as u64;
-                self.perf.frames_built += 1;
-                self.perf.frame_bytes += payload.len() as u64;
-                frames.push(Frame {
-                    sender: v.node,
-                    origin: v.position(),
-                    power_dbm: power,
-                    channel: ChannelKind::Dsrc,
-                    payload: payload.clone(),
-                });
-                if let Some(channel) = hybrid_channel {
-                    self.perf.frames_built += 1;
-                    self.perf.frame_bytes += payload.len() as u64;
-                    self.perf.payload_clones_avoided += 1;
-                    frames.push(Frame {
-                        sender: v.node,
-                        origin: v.position(),
-                        power_dbm: power,
-                        channel,
-                        payload,
-                    });
-                }
-            }
         }
 
         // SP-VLC hop-by-hop relaying: each member forwards the freshest
@@ -1349,31 +1292,45 @@ impl Engine {
             if !self.world.vehicles[idx].platooning_enabled {
                 continue;
             }
-            let env = Self::seal(&mut self.world.vehicles[idx], &msg);
+            let payload = Self::seal(&mut self.world.vehicles[idx], &msg)
+                .encode()
+                .into();
             let v = &self.world.vehicles[idx];
-            let payload: Payload = env.encode().into();
-            self.perf.bytes_encoded += payload.len() as u64;
-            self.perf.frames_built += 1;
-            self.perf.frame_bytes += payload.len() as u64;
+            Self::push_sealed(&mut self.perf, frames, v, power, hybrid_channel, payload);
+        }
+    }
+
+    /// Pushes one freshly encoded envelope from `v`: the DSRC frame, then
+    /// the hybrid channel's copy sharing the same bytes, and counts both.
+    fn push_sealed(
+        perf: &mut PerfCounters,
+        frames: &mut Vec<Frame>,
+        v: &VehicleNode,
+        power_dbm: f64,
+        hybrid_channel: Option<ChannelKind>,
+        payload: Payload,
+    ) {
+        perf.bytes_encoded += payload.len() as u64;
+        perf.frames_built += 1;
+        perf.frame_bytes += payload.len() as u64;
+        frames.push(Frame {
+            sender: v.node,
+            origin: v.position(),
+            power_dbm,
+            channel: ChannelKind::Dsrc,
+            payload: payload.clone(),
+        });
+        if let Some(channel) = hybrid_channel {
+            perf.frames_built += 1;
+            perf.frame_bytes += payload.len() as u64;
+            perf.payload_clones_avoided += 1;
             frames.push(Frame {
                 sender: v.node,
                 origin: v.position(),
-                power_dbm: power,
-                channel: ChannelKind::Dsrc,
-                payload: payload.clone(),
+                power_dbm,
+                channel,
+                payload,
             });
-            if let Some(channel) = hybrid_channel {
-                self.perf.frames_built += 1;
-                self.perf.frame_bytes += payload.len() as u64;
-                self.perf.payload_clones_avoided += 1;
-                frames.push(Frame {
-                    sender: v.node,
-                    origin: v.position(),
-                    power_dbm: power,
-                    channel,
-                    payload,
-                });
-            }
         }
     }
 
@@ -2147,18 +2104,12 @@ impl Engine {
         let layout = self.world.platoon_layout();
 
         for _ in 0..substeps.max(1) {
-            if self.threads > 1 {
-                // Per-vehicle dynamics are independent and rng-free; shard
-                // them in contiguous index chunks (results land in each
-                // vehicle's own state, so order cannot leak through).
-                par::for_each_mut(&mut self.world.vehicles, self.threads, |_, v| {
-                    v.vehicle.step(dt);
-                });
-            } else {
-                for v in self.world.vehicles.iter_mut() {
-                    v.vehicle.step(dt);
-                }
-            }
+            // Per-vehicle dynamics are independent and rng-free; shard them
+            // in contiguous index chunks (results land in each vehicle's own
+            // state, so order cannot leak through).
+            par::for_each_mut(&mut self.world.vehicles, self.threads, |_, v| {
+                v.vehicle.step(dt);
+            });
             // Safety observation per substep (collisions are fast).
             for idx in 1..n {
                 let gap = self.world.true_gap(idx).expect("idx > 0");

@@ -2,20 +2,21 @@
 //! service.
 //!
 //! [`Batch`](crate::harness::Batch) (launch-and-exit grids) and the
-//! long-running `platoon-server` job service both need the same three
-//! guarantees around one unit of work:
+//! long-running `platoon-server` job service run every unit of work through
+//! [`execute_job`], which gives:
 //!
 //! * **crash isolation** — a panicking job becomes a
 //!   [`JobOutcome::Failed`] entry instead of unwinding into the scheduler;
-//! * **bounded wall time** — with a budget set, a hung job times out on a
-//!   watchdog thread instead of stalling its worker;
+//! * **bounded wall time** — with a budget set (the service's option), a
+//!   hung job times out on a watchdog thread instead of stalling its
+//!   worker;
 //! * **honest timing** — queue wait and execution time are measured
 //!   *separately* ([`JobTiming`]), so a service-side timeout can never
 //!   misattribute scheduler delay to the job itself: the budget clock only
 //!   starts once a worker actually picks the job up.
 //!
-//! This module is that single code path, factored out of the harness so the
-//! two schedulers cannot diverge.
+//! This module is that single code path, so the two schedulers cannot
+//! diverge.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -186,6 +187,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn execution_time_excludes_queue_wait() {
@@ -251,6 +255,38 @@ mod tests {
             "timeout must disclaim scheduler delay: {reason}"
         );
         assert_eq!(job.timing.queue_wait, queued);
+    }
+
+    #[test]
+    fn a_job_finished_under_budget_has_its_watchdog_thread_joined() {
+        // The watchdog thread runs its thread-locals' destructors after the
+        // job has sent its result, so only a join waits for this one.
+        struct RaiseOnExit(Arc<AtomicBool>);
+        impl Drop for RaiseOnExit {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(200));
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: RefCell<Option<RaiseOnExit>> = const { RefCell::new(None) };
+        }
+        let exited = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&exited);
+        let job = execute_job(
+            Box::new(move |seed| {
+                ON_EXIT.with(|slot| *slot.borrow_mut() = Some(RaiseOnExit(flag)));
+                seed
+            }),
+            5,
+            Some(Duration::from_secs(60)),
+            Duration::ZERO,
+        );
+        assert_eq!(job.outcome, JobOutcome::Ok(5));
+        assert!(
+            exited.load(Ordering::SeqCst),
+            "execute_job returned before its watchdog thread exited"
+        );
     }
 
     #[test]

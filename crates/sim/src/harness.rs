@@ -9,8 +9,8 @@
 //!   worker pool. Each job receives a seed derived *only* from its label and
 //!   the batch base seed ([`derive_seed`]), so results are identical
 //!   regardless of worker count or scheduling order. Jobs are crash-isolated:
-//!   a panicking (or, with [`Batch::set_job_budget`], hung) job becomes a
-//!   [`JobOutcome::Failed`] entry instead of taking down the batch.
+//!   a panicking job becomes a [`JobOutcome::Failed`] entry instead of
+//!   taking down the batch.
 //! * [`BatchReport`] — the collected summaries in submission order, with a
 //!   canonical JSON rendering ([`BatchReport::to_canonical_json`]) that is
 //!   byte-for-byte reproducible and records failed jobs explicitly.
@@ -22,11 +22,11 @@
 //!   built on (the workspace has no serialization framework, so
 //!   serialization is explicit and therefore stable by construction).
 
-use crate::exec::{self, JobTiming};
+use crate::exec;
 use crate::metrics::RunSummary;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use crate::exec::JobOutcome;
 
@@ -133,7 +133,6 @@ pub struct BatchEntry<T> {
 pub struct Batch<T> {
     base_seed: u64,
     jobs: Vec<BatchJob<T>>,
-    job_budget: Option<Duration>,
 }
 
 impl<T: Send + 'static> Batch<T> {
@@ -142,22 +141,7 @@ impl<T: Send + 'static> Batch<T> {
         Batch {
             base_seed,
             jobs: Vec::new(),
-            job_budget: None,
         }
-    }
-
-    /// Caps each job's wall-clock time.
-    ///
-    /// An over-budget job is reported as [`JobOutcome::Failed`] and the rest
-    /// of the grid keeps running, so one hung cell cannot stall a batch.
-    /// Budgeted jobs run on a watchdog thread that is joined as soon as the
-    /// job finishes under budget; only a job that never returns detaches and
-    /// leaks its thread until process exit — the budget bounds grid latency,
-    /// not resource reclamation for genuinely hung jobs. Off by default (no
-    /// behavior change): results of *completing* jobs are identical either
-    /// way.
-    pub fn set_job_budget(&mut self, budget: Duration) {
-        self.job_budget = Some(budget);
     }
 
     /// The batch base seed.
@@ -230,9 +214,8 @@ impl<T: Send + 'static> Batch<T> {
     /// order* (never completion order).
     ///
     /// Work is handed out through an atomic cursor; each worker pops the
-    /// next unclaimed job, runs it (inside `catch_unwind`, plus a watchdog
-    /// when a [budget](Self::set_job_budget) is set) with its derived seed,
-    /// and sends the outcome back tagged with its slot index. Because the
+    /// next unclaimed job, runs it inside `catch_unwind` with its derived
+    /// seed, and sends the outcome back tagged with its slot index. Because the
     /// seed depends only on `(label, base_seed)` and results are re-slotted
     /// by index, the returned vector is identical for any `workers >= 1`.
     ///
@@ -242,26 +225,8 @@ impl<T: Send + 'static> Batch<T> {
     /// synthesized as `Failed` rather than aborting the collection — the
     /// harness itself has no panic path left on the job's account.
     pub fn run_outcomes(self, workers: usize) -> Vec<BatchEntry<JobOutcome<T>>> {
-        self.run_outcomes_timed(workers)
-            .into_iter()
-            .map(|(entry, _timing)| entry)
-            .collect()
-    }
-
-    /// [`run_outcomes`](Self::run_outcomes), additionally reporting each
-    /// job's [`JobTiming`] — queue wait (time between batch start and a
-    /// worker claiming the job) split from execution time. Timing is
-    /// measurement only: it varies run to run and never appears in the
-    /// canonical documents, but a service scheduling many batches needs it
-    /// to tell scheduler delay apart from slow jobs (the per-job
-    /// [budget](Self::set_job_budget) is charged against execution time
-    /// only).
-    pub fn run_outcomes_timed(self, workers: usize) -> Vec<(BatchEntry<JobOutcome<T>>, JobTiming)> {
         let base_seed = self.base_seed;
-        let budget = self.job_budget;
         let n = self.jobs.len();
-        // Every job is effectively enqueued the moment the batch starts.
-        let enqueued_at = Instant::now();
         // Label + seed survive outside the job slots so a job whose result
         // never arrives still yields a labelled Failed entry.
         let meta: Vec<(String, u64)> = self
@@ -275,7 +240,7 @@ impl<T: Send + 'static> Batch<T> {
         let jobs: Vec<Mutex<Option<BatchJob<T>>>> =
             self.jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>, JobTiming)>();
+        let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
 
         std::thread::scope(|scope| {
             for _ in 0..workers.max(1).min(n.max(1)) {
@@ -293,9 +258,8 @@ impl<T: Send + 'static> Batch<T> {
                         .unwrap_or_else(PoisonError::into_inner)
                         .take();
                     let Some(job) = claimed else { continue };
-                    let queue_wait = enqueued_at.elapsed();
-                    let executed = exec::execute_job(job.run, meta[i].1, budget, queue_wait);
-                    if tx.send((i, executed.outcome, executed.timing)).is_err() {
+                    let executed = exec::execute_job(job.run, meta[i].1, None, Duration::ZERO);
+                    if tx.send((i, executed.outcome)).is_err() {
                         break;
                     }
                 });
@@ -303,21 +267,18 @@ impl<T: Send + 'static> Batch<T> {
         });
         drop(tx);
 
-        let mut slots: Vec<Option<(JobOutcome<T>, JobTiming)>> = (0..n).map(|_| None).collect();
-        for (i, outcome, timing) in rx {
-            slots[i] = Some((outcome, timing));
+        let mut slots: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
+        for (i, outcome) in rx {
+            slots[i] = Some(outcome);
         }
         slots
             .into_iter()
             .zip(meta)
             .map(|(slot, (label, seed))| {
-                let (value, timing) = slot.unwrap_or((
-                    JobOutcome::Failed {
-                        reason: "job never reported a result".into(),
-                    },
-                    JobTiming::default(),
-                ));
-                (BatchEntry { label, seed, value }, timing)
+                let value = slot.unwrap_or(JobOutcome::Failed {
+                    reason: "job never reported a result".into(),
+                });
+                BatchEntry { label, seed, value }
             })
             .collect()
     }
@@ -337,7 +298,7 @@ impl Batch<RunSummary> {
 
     /// Runs the batch and wraps the outcomes in a [`BatchReport`].
     ///
-    /// Failed jobs (panic / blown budget) do **not** abort the report — they
+    /// Failed jobs (panics) do **not** abort the report — they
     /// appear as failed entries and render as `"error"` objects in the
     /// canonical JSON.
     pub fn run_report(self, workers: usize) -> BatchReport {
@@ -1128,85 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn over_budget_job_times_out_without_stalling_the_batch() {
-        let mut batch: Batch<usize> = Batch::new(9);
-        batch.set_job_budget(Duration::from_millis(100));
-        batch.push("quick/a", |_| 1);
-        batch.push("hung", |_| {
-            std::thread::sleep(Duration::from_secs(600));
-            2
-        });
-        batch.push("quick/b", |_| 3);
-        let start = std::time::Instant::now();
-        let entries = batch.run_outcomes(2);
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "the hung job must not stall the grid"
-        );
-        assert_eq!(entries[0].value, JobOutcome::Ok(1));
-        assert_eq!(entries[2].value, JobOutcome::Ok(3));
-        let reason = entries[1].value.failure().expect("hung job timed out");
-        assert!(
-            reason.contains("wall-time budget"),
-            "budget diagnostics: {reason}"
-        );
-    }
-
-    #[test]
-    fn timed_outcomes_split_queue_wait_from_execution() {
-        // One worker, two jobs that each sleep: the second job's queue wait
-        // must cover (at least) the first job's execution, while its own
-        // execution stays short — the split a service-side timeout needs to
-        // avoid blaming scheduler delay on the job.
-        let mut batch: Batch<usize> = Batch::new(3);
-        for i in 0..2usize {
-            batch.push(format!("timed/{i}"), move |_seed| {
-                std::thread::sleep(Duration::from_millis(60));
-                i
-            });
-        }
-        let timed = batch.run_outcomes_timed(1);
-        assert_eq!(timed.len(), 2);
-        let (first, second) = (&timed[0], &timed[1]);
-        assert!(!first.0.value.is_failed() && !second.0.value.is_failed());
-        assert!(
-            second.1.queue_wait >= first.1.execution,
-            "serial second job queued behind the first: waited {:?}, first ran {:?}",
-            second.1.queue_wait,
-            first.1.execution
-        );
-        assert!(
-            second.1.execution < second.1.queue_wait + Duration::from_millis(40),
-            "queue wait must not be folded into execution time: {:?}",
-            second.1
-        );
-    }
-
-    #[test]
-    fn budget_does_not_count_queue_wait() {
-        // With one worker and an 80 ms budget, three 50 ms jobs queue up to
-        // ~100 ms of scheduler delay for the tail job — which must still
-        // complete, because the budget clock starts at claim time.
-        let mut batch: Batch<usize> = Batch::new(4);
-        batch.set_job_budget(Duration::from_millis(80));
-        for i in 0..3usize {
-            batch.push(format!("q/{i}"), move |_seed| {
-                std::thread::sleep(Duration::from_millis(50));
-                i
-            });
-        }
-        let entries = batch.run_outcomes(1);
-        for e in &entries {
-            assert!(
-                !e.value.is_failed(),
-                "{}: queue wait was charged against the budget: {:?}",
-                e.label,
-                e.value.failure()
-            );
-        }
-    }
-
-    #[test]
     fn raw_fields_embed_rendered_documents_verbatim() {
         let inner = {
             let mut w = json::Writer::compact();
@@ -1230,38 +1112,6 @@ mod tests {
             Some(&Value::Num(1.0))
         );
         assert_eq!(v.get("after"), Some(&Value::Num(2.0)));
-    }
-
-    /// Live threads of this process (Linux: one /proc/self/task entry per
-    /// thread).
-    #[cfg(target_os = "linux")]
-    fn thread_count() -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("procfs available on linux")
-            .count()
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn completed_budgeted_jobs_reap_their_watchdog_threads() {
-        // Regression: watchdog threads of jobs that finished *under* budget
-        // were dropped without joining, leaking one sleeping thread per
-        // completed job for the life of the process. They must now be
-        // joined before the batch returns.
-        let baseline = thread_count();
-        let mut batch: Batch<usize> = Batch::new(21);
-        batch.set_job_budget(Duration::from_secs(120));
-        for i in 0..24usize {
-            batch.push(format!("wd/{i}"), move |_seed| i);
-        }
-        let entries = batch.run_outcomes(4);
-        assert_eq!(entries.len(), 24);
-        assert!(entries.iter().all(|e| !e.value.is_failed()));
-        let after = thread_count();
-        assert!(
-            after <= baseline + 1,
-            "watchdog threads leaked: {baseline} before, {after} after 24 budgeted jobs"
-        );
     }
 
     #[test]

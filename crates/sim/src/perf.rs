@@ -5,9 +5,8 @@
 //! of integer adds per step and are *deterministic*: for a fixed scenario
 //! and seed every counter is reproduced exactly, regardless of worker
 //! count, machine or wall-clock speed. That determinism is what lets the
-//! perf pipeline (`platoon_core::perf`) commit counter totals to a golden
-//! file and gate CI on them, while wall-times are reported separately and
-//! compared only with generous tolerances.
+//! perf grid (`platoon_core::perf`) pin counter totals exactly in a golden
+//! file; wall time is measured by the benchmark, not here.
 
 /// Deterministic per-run engine work counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
