@@ -177,6 +177,12 @@ impl CertificateAuthority {
         self.revoked.contains(&serial)
     }
 
+    /// Whether `cert`'s serial is revoked. The serial is a SHA-256 of the
+    /// key, so it is computed only when something has been revoked.
+    pub fn revokes(&self, cert: &Certificate) -> bool {
+        !self.revoked.is_empty() && self.is_revoked(cert.serial())
+    }
+
     /// A snapshot of the revocation list (e.g. for distribution via RSUs).
     pub fn revocation_list(&self) -> RevocationList {
         RevocationList {
@@ -190,7 +196,7 @@ impl CertificateAuthority {
     ///
     /// Returns a [`CertError`] describing the first failed check.
     pub fn validate(&self, cert: &Certificate, now: f64) -> Result<(), CertError> {
-        if self.is_revoked(cert.serial()) {
+        if self.revokes(cert) {
             return Err(CertError::Revoked);
         }
         verify_certificate(cert, &self.public(), self.id, now)
@@ -300,7 +306,12 @@ mod tests {
     fn revoked_cert_rejected() {
         let mut ca = ca();
         let cert = ca.issue(PrincipalId(2), KeyPair::from_seed(2).public(), 0.0, 100.0);
+        let other = ca.issue(PrincipalId(3), KeyPair::from_seed(3).public(), 0.0, 100.0);
+        assert!(!ca.revokes(&cert));
+        ca.revoke(other.serial());
+        assert!(!ca.revokes(&cert));
         ca.revoke(cert.serial());
+        assert!(ca.revokes(&cert));
         assert_eq!(ca.validate(&cert, 1.0), Err(CertError::Revoked));
     }
 

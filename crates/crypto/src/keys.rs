@@ -155,7 +155,7 @@ impl KeyPair {
     fn from_secret_scalar(x: u64) -> Self {
         KeyPair {
             secret: SecretKey(x),
-            public: PublicKey(group::pow(group::G, x)),
+            public: PublicKey(group::pow_g(x)),
         }
     }
 
@@ -211,6 +211,26 @@ mod tests {
     fn public_key_is_group_power_of_secret() {
         let kp = KeyPair::from_seed(3);
         assert_eq!(kp.public().element(), group::pow(group::G, kp.secret().0));
+    }
+
+    /// Public elements computed by square-and-multiply over `u128 %`, before
+    /// the fixed-base table and Mersenne folding.
+    #[test]
+    fn from_seed_known_answers() {
+        for (seed, element) in [
+            (0, 0x0f3e_3971_a9f7_b9d5),
+            (1, 0x1d77_2e98_452f_3fc3),
+            (7, 0x11af_b298_d76e_567c),
+            (42, 0x1bbb_da88_ad09_6320),
+            (2021, 0x124e_8077_be44_f078),
+            (u64::MAX, 0x1515_b6c3_0d81_f8fe),
+        ] {
+            assert_eq!(
+                KeyPair::from_seed(seed).public().element(),
+                element,
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -198,32 +198,25 @@ impl Sha256 {
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Append the 0x80 terminator, zero padding, then the 64-bit length.
-        self.raw_update(&[0x80]);
-        while self.buffered != BLOCK_LEN - 8 {
-            self.raw_update(&[0]);
+        // The 0x80 terminator and zero padding, then the 64-bit length in the
+        // last 8 bytes: one block when the buffered tail leaves room for the
+        // length (at most 55 bytes), else two.
+        let n = self.buffered;
+        let mut block = self.buffer;
+        block[n] = 0x80;
+        block[n + 1..].fill(0);
+        if n >= BLOCK_LEN - 8 {
+            self.compress(&block);
+            block = [0; BLOCK_LEN];
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0, "padding must end on a block boundary");
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
-    }
-
-    /// Like `update` but does not advance `total_len`; used only for padding.
-    fn raw_update(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffered] = b;
-            self.buffered += 1;
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
     }
 
     /// The SHA-256 compression function over a single 512-bit block.
@@ -360,6 +353,98 @@ mod tests {
         let d = Sha256::digest(b"abc");
         assert!(format!("{d}").starts_with("ba7816bf"));
         assert!(format!("{d:?}").contains("ba7816bf"));
+    }
+
+    /// FIPS 180-4 in spec form, as the hasher was first written: the whole
+    /// message padded into one buffer, a 64-word schedule per block.
+    fn reference_digest(data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+
+        let mut state = H0;
+        for block in msg.chunks_exact(BLOCK_LEN) {
+            let mut w = [0u32; 64];
+            for (i, chunk) in block.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk of 4"));
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let mut v = state;
+            for i in 0..64 {
+                let [a, b, c, d, e, f, g, h] = v;
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                v = [
+                    t1.wrapping_add(s0.wrapping_add(maj)),
+                    a,
+                    b,
+                    c,
+                    d.wrapping_add(t1),
+                    e,
+                    f,
+                    g,
+                ];
+            }
+            for (word, add) in state.iter_mut().zip(v) {
+                *word = word.wrapping_add(add);
+            }
+        }
+
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    fn message(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + 7) as u8).collect()
+    }
+
+    #[test]
+    fn every_length_to_200_and_1000_matches_spec_form() {
+        for len in (0..=200).chain([1000]) {
+            let data = message(len);
+            assert_eq!(
+                Sha256::digest(&data).0,
+                reference_digest(&data),
+                "{len} bytes"
+            );
+        }
+    }
+
+    /// The lengths where the padding changes shape. At 55/56 and again at
+    /// 119/120 the 8-byte length stops fitting after the buffered tail, so
+    /// one padding block becomes two; at 63/64 the message fills its block
+    /// and the tail empties. Each is also fed in two pieces.
+    #[test]
+    fn padding_boundaries_match_spec_form() {
+        for len in [55, 56, 63, 64, 119, 120] {
+            let data = message(len);
+            let expected = reference_digest(&data);
+            assert_eq!(Sha256::digest(&data).0, expected, "{len} bytes");
+            let mut h = Sha256::new();
+            h.update(&data[..len / 2]);
+            h.update(&data[len / 2..]);
+            assert_eq!(h.finalize().0, expected, "{len} bytes in two pieces");
+        }
     }
 
     #[test]

@@ -44,8 +44,8 @@ impl Signature {
     /// Returns `false` for any tampering of message, key or signature.
     pub fn verify(&self, public: &PublicKey, message: &[u8]) -> bool {
         let e = challenge(self.r, message);
-        let lhs = group::pow(group::G, self.s);
-        let rhs = group::mul(self.r % group::P, group::pow(public.element(), e));
+        let lhs = group::pow_g(self.s);
+        let rhs = group::mul(self.r, group::pow(public.element(), e));
         lhs == rhs
     }
 
@@ -108,7 +108,7 @@ impl Signer {
     }
 
     fn sign_with_nonce(&self, message: &[u8], k: u64) -> Signature {
-        let r = group::pow(group::G, k);
+        let r = group::pow_g(k);
         let e = challenge(r, message);
         let s = group::add_exp(k, group::mul_exp(e, self.keypair.secret().0));
         Signature { r, s }
@@ -171,6 +171,49 @@ mod tests {
         let s = signer(6);
         assert_eq!(s.sign_deterministic(b"m"), s.sign_deterministic(b"m"));
         assert_ne!(s.sign_deterministic(b"m"), s.sign_deterministic(b"n"));
+    }
+
+    /// `(r, s)` computed by square-and-multiply over `u128 %`, before the
+    /// fixed-base table and Mersenne folding.
+    #[test]
+    fn sign_deterministic_known_answers() {
+        let long = [0xff; 200];
+        let cases: [(u64, &[u8], u64, u64); 8] = [
+            (1, b"", 0x1e67_dd01_bca4_13f0, 0x1479_4499_8aeb_3aa0),
+            (
+                1,
+                b"SPLIT after member 3",
+                0x02c5_15e0_9e1f_3db5,
+                0x06bb_a36c_1c62_1902,
+            ),
+            (1, &long, 0x1342_42ce_40aa_043e, 0x1643_f04b_c812_7d2a),
+            (42, b"", 0x0f17_6479_4251_abb4, 0x1652_7364_23fe_2b6c),
+            (
+                42,
+                b"beacon: v=25.0 x=132.2",
+                0x17c7_7b4b_845e_5f4b,
+                0x0c7c_b6aa_3506_b9a6,
+            ),
+            (
+                2021,
+                b"SPLIT after member 3",
+                0x04a5_e5c9_1e9b_1918,
+                0x1c5a_b986_0166_e05c,
+            ),
+            (
+                2021,
+                b"beacon: v=25.0 x=132.2",
+                0x10f5_73d7_079f_cd59,
+                0x0f9a_6c0b_7da3_9b29,
+            ),
+            (2021, &long, 0x1632_e944_dcb5_b7ab, 0x188f_815a_5eb6_b796),
+        ];
+        for (seed, msg, r, s) in cases {
+            let signer = signer(seed);
+            let sig = signer.sign_deterministic(msg);
+            assert_eq!(sig, Signature { r, s }, "seed {seed}, {} bytes", msg.len());
+            assert!(sig.verify(&signer.public(), msg));
+        }
     }
 
     #[test]

@@ -292,20 +292,23 @@ impl Engine {
         for g in 0..n {
             let (p, i) = (g / per_platoon, g % per_platoon);
             let principal = PrincipalId(g as u64);
-            let keypair = KeyPair::from_seed(scenario.seed.wrapping_mul(31).wrapping_add(g as u64));
             let auth = match scenario.auth {
                 AuthMode::None => AuthMaterial::None,
                 AuthMode::GroupMac => AuthMaterial::GroupMac(group_key),
                 AuthMode::EncryptedGroupMac => AuthMaterial::EncryptedGroupMac(group_key),
-                AuthMode::Pki => AuthMaterial::Pki {
-                    signer: Signer::new(keypair),
-                    certificate: ca.issue(
-                        principal,
-                        keypair.public(),
-                        0.0,
-                        scenario.duration + 3600.0,
-                    ),
-                },
+                AuthMode::Pki => {
+                    let keypair =
+                        KeyPair::from_seed(scenario.seed.wrapping_mul(31).wrapping_add(g as u64));
+                    AuthMaterial::Pki {
+                        signer: Signer::new(keypair),
+                        certificate: ca.issue(
+                            principal,
+                            keypair.public(),
+                            0.0,
+                            scenario.duration + 3600.0,
+                        ),
+                    }
+                }
             };
             // Leaders at the front of their platoons (largest x), platoon 1
             // frontmost; later platoons trail by the inter-platoon spacing.
@@ -1346,7 +1349,7 @@ impl Engine {
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::Pki => {
                 if let platoon_proto::envelope::AuthScheme::Signed { certificate, .. } = &env.auth {
-                    if self.ca.is_revoked(certificate.serial()) {
+                    if self.ca.revokes(certificate) {
                         return Err(RejectReason::Distrusted);
                     }
                 }
