@@ -304,6 +304,15 @@ pub fn run_arm_seeded(
     effort: Effort,
     seed: u64,
 ) -> (Engine, RunSummary) {
+    let mut engine = build_arm(attack, mechanism, effort, seed);
+    let summary = engine.run();
+    (engine, summary)
+}
+
+/// Builds one (attack, mechanism) arm under `seed`, before its first step:
+/// the scenario, the attack, the honest joiner of the DoS arms and the
+/// mechanism's defenses.
+pub fn build_arm(attack: &str, mechanism: Option<&str>, effort: Effort, seed: u64) -> Engine {
     let label = format!("{attack}/{}", mechanism.unwrap_or("undefended"));
     let mut builder = base_scenario(&label, effort).seed(seed);
     // Integrity attacks use the brake-test workload (needs conflicting data
@@ -347,8 +356,7 @@ pub fn run_arm_seeded(
     for d in make_defenses(&modules) {
         engine.add_defense(d);
     }
-    let summary = engine.run();
-    (engine, summary)
+    engine
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use platoon_sim::harness::{golden, json, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{
     steps_for, AuthMode, JoinerAgent, JoinerCredentials, RunSummary, Scenario, ScenarioBuilder,
 };
-use platoon_trace::TraceRecorder;
+use platoon_sim::trace::TraceRecorder;
 use platoon_v2x::message::NodeId;
 use std::time::Instant;
 
@@ -93,10 +93,7 @@ pub struct CorridorRun {
     pub wall_ms: f64,
 }
 
-/// Runs one corridor arm: builds the world, attaches a trace recorder,
-/// and drives the engine manually so the lead platoon splits a third of
-/// the way in and merges back at two thirds, with a legitimate joiner
-/// knocking throughout.
+/// Runs one corridor arm: [`corridor_engine`] driven by [`drive_corridor`].
 pub fn corridor_arm(
     label: &str,
     per: usize,
@@ -106,13 +103,27 @@ pub fn corridor_arm(
     threads: usize,
     seed: u64,
 ) -> CorridorRun {
+    let mut engine = corridor_engine(label, per, platoons, duration, horizon, threads, seed);
+    drive_corridor(&mut engine)
+}
+
+/// Builds one corridor arm before its first step: the world, a trace
+/// recorder, and a legitimate joiner alongside the lead platoon.
+pub fn corridor_engine(
+    label: &str,
+    per: usize,
+    platoons: usize,
+    duration: f64,
+    horizon: f64,
+    threads: usize,
+    seed: u64,
+) -> Engine {
     let scenario = corridor_scenario(label, per, platoons, duration, horizon)
         .seed(seed)
         .build();
-    let comm_step = scenario.comm_step;
     let mut engine = Engine::new(scenario);
     engine.set_threads(threads);
-    engine.attach_tracer(Box::new(TraceRecorder::new()));
+    engine.attach_tracer(TraceRecorder::new());
     // The joiner drives alongside the *lead* platoon (the one owning the
     // manoeuvre engine). It positions itself relative to the world's tail
     // vehicle, which in a corridor belongs to the rearmost platoon — so
@@ -130,11 +141,20 @@ pub fn corridor_arm(
         )
         .with_trail_gap(join_trail_gap),
     ));
-    let steps = steps_for(duration, comm_step);
+    engine
+}
+
+/// Steps a corridor engine to the end of its scenario, splitting the lead
+/// platoon in half a third of the way in and merging it back at two
+/// thirds.
+pub fn drive_corridor(engine: &mut Engine) -> CorridorRun {
+    let scenario = engine.scenario();
+    let per = scenario.vehicles;
+    let steps = steps_for(scenario.duration, scenario.comm_step);
     let split_at = steps / 3;
     let merge_at = steps * 2 / 3;
     let t0 = Instant::now();
-    for step in 0..steps {
+    for step in engine.steps_run()..steps {
         if step == split_at && per >= 4 {
             // Split the lead platoon in half (platoon-local index).
             let _ = engine.command_split(per / 2);

@@ -37,7 +37,7 @@ use platoon_sim::prelude::{
     score_alerts, steps_for, DetectionSummary, Engine, RegimePhase, RegimePlan, RunSummary,
     TruthLabels,
 };
-use platoon_trace::TraceRecorder;
+use platoon_sim::trace::TraceRecorder;
 
 /// Detector profiles compared by the experiment.
 pub const PROFILES: [&str; 2] = ["cruise", "regime-aware"];
@@ -353,7 +353,7 @@ pub fn resume_check(quick: bool, seed: u64) -> (String, String) {
         );
         engine.add_attack(make_attack("insider-fdi", effort));
         engine.attach_detector_config(profile_for("regime-aware"));
-        engine.attach_tracer(Box::new(TraceRecorder::new()));
+        engine.attach_tracer(TraceRecorder::new());
         engine
     };
 

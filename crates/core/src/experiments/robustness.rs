@@ -24,7 +24,7 @@ use platoon_faults::{
     BurstPacketLoss, ClockSkew, FaultWindow, NoiseFloorRamp, RsuBlackout, SensorOutage,
 };
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
-use platoon_sim::fault::Fault;
+use platoon_sim::fault::{Fault, NoFault};
 use platoon_sim::harness::{golden, json, Batch};
 use platoon_sim::prelude::{per_frame_ratio, score_alerts, DetectionSummary, Engine, RunSummary};
 
@@ -49,28 +49,25 @@ pub const SEEDS_PER_ARM: u64 = 2;
 pub const INJECTED_JOB: &str = "inject/panic";
 
 /// The canonical fault for a named arm, sized relative to the run length.
-/// `None` for the clean control.
-pub fn make_fault(name: &str, effort: Effort) -> Option<Box<dyn Fault>> {
+/// The clean control gets the no-op [`NoFault`].
+pub fn make_fault(name: &str, effort: Effort) -> Box<dyn Fault> {
     let d = effort.duration;
     match name {
-        "none" => None,
-        "burst-loss" => Some(Box::new(BurstPacketLoss::new(
+        "none" => Box::new(NoFault),
+        "burst-loss" => Box::new(BurstPacketLoss::new(
             vec![FaultWindow::new(0.3 * d, 0.55 * d)],
             25.0,
-        ))),
-        "noise-ramp" => Some(Box::new(NoiseFloorRamp::new(0.25 * d, 0.6, 12.0))),
-        "sensor-outage" => Some(Box::new(SensorOutage::radar(
+        )),
+        "noise-ramp" => Box::new(NoiseFloorRamp::new(0.25 * d, 0.6, 12.0)),
+        "sensor-outage" => Box::new(SensorOutage::radar(
             2,
             vec![
                 FaultWindow::new(0.3 * d, 0.5 * d),
                 FaultWindow::new(0.65 * d, 0.75 * d),
             ],
-        ))),
-        "clock-skew" => Some(Box::new(ClockSkew::new(5, 0.25 * d, 2.0))),
-        "rsu-blackout" => Some(Box::new(RsuBlackout::new(vec![FaultWindow::new(
-            0.3 * d,
-            0.6 * d,
-        )]))),
+        )),
+        "clock-skew" => Box::new(ClockSkew::new(5, 0.25 * d, 2.0)),
+        "rsu-blackout" => Box::new(RsuBlackout::new(vec![FaultWindow::new(0.3 * d, 0.6 * d)])),
         other => panic!("unknown fault arm {other}"),
     }
 }
@@ -94,9 +91,7 @@ pub fn robustness_arm(fault: &str, attack: &str, effort: Effort, seed: u64) -> R
         builder = builder.rsu((150.0, 8.0)).rsu((450.0, 8.0));
     }
     let mut engine = Engine::new(builder.build());
-    if let Some(f) = make_fault(fault, effort) {
-        engine.add_fault(f);
-    }
+    engine.add_fault(make_fault(fault, effort));
     if attack != "benign" {
         engine.add_attack(make_attack(attack, effort));
     }

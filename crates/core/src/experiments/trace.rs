@@ -18,7 +18,7 @@ use super::table4::profile_for;
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
 use platoon_sim::harness::{golden, Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{Engine, RunSummary};
-use platoon_trace::{diff_traces, TraceRecorder};
+use platoon_sim::trace::{diff_traces, TraceRecorder};
 
 /// The attack arm traced by default: reliably detected, so the trace
 /// exercises every phase (fault, attack, medium, defense, detector).
@@ -37,33 +37,31 @@ pub struct TraceRun {
     pub jsonl: String,
 }
 
-/// Runs the canonical traced scenario: the base platoon under [`FAULT`]
-/// plus `attack` (or none for `"benign"`), default detector pipeline and
-/// a [`TraceRecorder`] attached.
+/// Runs the canonical traced scenario built by [`traced_engine`].
 pub fn traced_arm(attack: &str, effort: Effort, seed: u64) -> TraceRun {
-    let label = format!("trace/{attack}");
-    let mut engine = Engine::new(base_scenario(&label, effort).seed(seed).build());
-    if let Some(fault) = make_fault(FAULT, effort) {
-        engine.add_fault(fault);
-    }
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
-    }
-    engine.attach_detector_config(profile_for("default"));
-    engine.attach_tracer(Box::new(TraceRecorder::new()));
+    let mut engine = traced_engine(attack, effort, seed);
     let summary = engine.run();
-    let recorder = engine
-        .take_tracer()
-        .expect("tracer attached above")
-        .as_any()
-        .downcast_ref::<TraceRecorder>()
-        .expect("the attached tracer is a TraceRecorder")
-        .clone();
+    let recorder = engine.take_tracer().expect("tracer attached above");
     debug_assert_eq!(summary.trace, Some(recorder.digest()));
     TraceRun {
         summary,
         jsonl: recorder.to_jsonl(),
     }
+}
+
+/// Builds the canonical traced scenario before its first step: the base
+/// platoon under [`FAULT`] plus `attack` (or none for `"benign"`), the
+/// default detector pipeline and a [`TraceRecorder`] attached.
+pub fn traced_engine(attack: &str, effort: Effort, seed: u64) -> Engine {
+    let label = format!("trace/{attack}");
+    let mut engine = Engine::new(base_scenario(&label, effort).seed(seed).build());
+    engine.add_fault(make_fault(FAULT, effort));
+    if attack != "benign" {
+        engine.add_attack(make_attack(attack, effort));
+    }
+    engine.attach_detector_config(profile_for("default"));
+    engine.attach_tracer(TraceRecorder::new());
+    engine
 }
 
 /// A completed trace experiment: the canonical batch document plus the
@@ -211,7 +209,7 @@ fn diff_cli_main(args: &mut Args) -> Result<(), Exit> {
 mod tests {
     use super::*;
     use platoon_sim::harness::golden::Tolerance;
-    use platoon_trace::diff::END_OF_TRACE;
+    use platoon_sim::trace::END_OF_TRACE;
     use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {

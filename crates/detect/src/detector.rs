@@ -58,10 +58,13 @@ pub trait Detector: std::fmt::Debug {
     }
 
     /// Clones the detector (including all per-sender state) into a fresh
-    /// box, for engine snapshots. `None` means the detector does not
-    /// support snapshotting; pipelines carrying it cannot be checkpointed.
-    fn clone_box(&self) -> Option<Box<dyn Detector>> {
-        None
+    /// box, for engine snapshots.
+    fn clone_box(&self) -> Box<dyn Detector>;
+}
+
+impl Clone for Box<dyn Detector> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 
@@ -70,11 +73,14 @@ mod tests {
     use super::*;
     use platoon_crypto::cert::PrincipalId;
 
-    #[derive(Debug)]
+    #[derive(Clone, Debug)]
     struct Null;
     impl Detector for Null {
         fn name(&self) -> &'static str {
             "null"
+        }
+        fn clone_box(&self) -> Box<dyn Detector> {
+            Box::new(self.clone())
         }
     }
 

@@ -184,8 +184,8 @@ impl Detector for IdentityDetector {
         "identity"
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Detector>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Detector> {
+        Box::new(self.clone())
     }
 
     fn observe_beacon(&mut self, obs: &BeaconObservation, sink: &mut Vec<Evidence>) {

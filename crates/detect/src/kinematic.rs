@@ -96,8 +96,8 @@ impl Detector for KinematicDetector {
             .map(|(_, limits)| *limits);
     }
 
-    fn clone_box(&self) -> Option<Box<dyn Detector>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Detector> {
+        Box::new(self.clone())
     }
 }
 

@@ -54,8 +54,9 @@ impl PipelineConfig {
 
 /// The streaming detection pipeline: every observation is offered to each
 /// detector in a fixed order; the evidence they emit is fused; crossing
-/// the raise threshold appends an [`Alert`] to the log.
-#[derive(Debug)]
+/// the raise threshold appends an [`Alert`] to the log. Cloning copies
+/// the detector banks, fusion tracks and alert log (engine snapshots).
+#[derive(Clone, Debug)]
 pub struct Pipeline {
     detectors: Vec<Box<dyn Detector>>,
     fusion: Fusion,
@@ -156,24 +157,6 @@ impl Pipeline {
         for det in &mut self.detectors {
             det.on_regime(label);
         }
-    }
-
-    /// Clones the whole pipeline — detector banks, fusion tracks, alert
-    /// log — for engine snapshots. Returns `None` if any detector in the
-    /// bank does not support snapshotting (see [`Detector::clone_box`]).
-    pub fn try_clone(&self) -> Option<Pipeline> {
-        let mut detectors = Vec::with_capacity(self.detectors.len());
-        for det in &self.detectors {
-            detectors.push(det.clone_box()?);
-        }
-        Some(Pipeline {
-            detectors,
-            fusion: self.fusion.clone(),
-            scratch: self.scratch.clone(),
-            fresh: self.fresh.clone(),
-            log: self.log.clone(),
-            evidence_count: self.evidence_count,
-        })
     }
 
     /// Advances time once per simulation step: silence monitoring plus

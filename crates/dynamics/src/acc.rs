@@ -22,10 +22,10 @@ use crate::controller::{ControlContext, LongitudinalController};
 ///
 /// ```
 /// use platoon_dynamics::acc::AccController;
-/// use platoon_dynamics::controller::LongitudinalController;
 ///
 /// let acc = AccController::default();
-/// assert_eq!(acc.name(), "acc");
+/// // 2 m standstill plus a 1.2 s time gap at 20 m/s.
+/// assert!((acc.desired_gap(20.0) - 26.0).abs() < 1e-9);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccController {
@@ -81,12 +81,8 @@ impl LongitudinalController for AccController {
         self.k_gap * e + self.k_rel * radar.range_rate
     }
 
-    fn name(&self) -> &'static str {
-        "acc"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn LongitudinalController> {
+        Box::new(*self)
     }
 }
 

@@ -161,12 +161,8 @@ impl LongitudinalController for CaccController {
         self.radar_safety_floor(ctx, u)
     }
 
-    fn name(&self) -> &'static str {
-        "cacc"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn LongitudinalController> {
+        Box::new(*self)
     }
 }
 

@@ -66,12 +66,8 @@ impl LongitudinalController for ConsensusController {
         u
     }
 
-    fn name(&self) -> &'static str {
-        "consensus"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn LongitudinalController> {
+        Box::new(*self)
     }
 }
 

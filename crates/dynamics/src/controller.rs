@@ -95,14 +95,14 @@ pub trait LongitudinalController: std::fmt::Debug + Send + Sync {
     /// Resets internal state (e.g. after the vehicle leaves a platoon).
     fn reset(&mut self) {}
 
-    /// Human-readable controller name for reports.
-    fn name(&self) -> &'static str;
-
     /// Clones the controller (including all internal state) into a fresh
-    /// box, for engine snapshots. `None` means the controller does not
-    /// support snapshotting; engines carrying it cannot be checkpointed.
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        None
+    /// box, for engine snapshots.
+    fn clone_box(&self) -> Box<dyn LongitudinalController>;
+}
+
+impl Clone for Box<dyn LongitudinalController> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 
@@ -131,12 +131,8 @@ impl LongitudinalController for CruiseController {
         self.gain * (self.target_speed - ctx.ego.speed)
     }
 
-    fn name(&self) -> &'static str {
-        "cruise"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn LongitudinalController> {
+        Box::new(*self)
     }
 }
 

@@ -89,12 +89,8 @@ impl LongitudinalController for PloegController {
         self.u = 0.0;
     }
 
-    fn name(&self) -> &'static str {
-        "ploeg"
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn LongitudinalController>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn LongitudinalController> {
+        Box::new(*self)
     }
 }
 

@@ -12,8 +12,6 @@ use platoon_dynamics::sensors::SensorFault;
 use platoon_sim::fault::Fault;
 use platoon_sim::world::{Rsu, World};
 use platoon_v2x::vlc::VLC_OUTAGE_PER_DB;
-use std::any::Any;
-
 /// Which physical channel(s) a channel-degradation fault touches.
 ///
 /// Weather fronts and interference degrade every active medium, not just
@@ -89,12 +87,8 @@ impl Fault for BurstPacketLoss {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(self.clone())
     }
 }
 
@@ -167,12 +161,8 @@ impl Fault for NoiseFloorRamp {
         self.applied_outage = 0.0;
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(self.clone())
     }
 }
 
@@ -256,12 +246,8 @@ impl Fault for SensorOutage {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(self.clone())
     }
 }
 
@@ -328,12 +314,8 @@ impl Fault for ClockSkew {
         // uninterrupted one.
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(self.clone())
     }
 }
 
@@ -377,12 +359,8 @@ impl Fault for RsuBlackout {
         }
     }
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(self.clone()))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(self.clone())
     }
 }
 

@@ -45,7 +45,7 @@ pub struct JoinerOutcome {
 }
 
 /// An honest vehicle trailing the platoon and asking to join.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct JoinerAgent {
     /// The joiner's identity.
     pub principal: PrincipalId,
@@ -236,5 +236,9 @@ impl Attack for JoinerAgent {
 
     fn as_any(&self) -> &dyn Any {
         self
+    }
+
+    fn clone_box(&self) -> Option<Box<dyn Attack>> {
+        Some(Box::new(self.clone()))
     }
 }

@@ -27,7 +27,7 @@ use crate::par;
 use crate::perf::PerfCounters;
 use crate::regime::{steps_for, RegimeState};
 use crate::scenario::{AuthMode, CommsMode, ControllerKind, Scenario};
-use crate::trace::{TraceDetail, TracePhase, TraceRecord, Tracer};
+use crate::trace::{TraceDetail, TracePhase, TraceRecord, TraceRecorder};
 use crate::world::{AuthMaterial, CommState, HeardPeer, PlatoonLayout, Rsu, VehicleNode, World};
 use platoon_crypto::cert::{CertificateAuthority, PrincipalId};
 use platoon_crypto::keys::{KeyPair, SymmetricKey};
@@ -260,8 +260,8 @@ pub struct Engine {
     scratch: StepScratch,
     /// Deterministic work counters (see [`crate::perf`]).
     perf: PerfCounters,
-    /// Optional per-tick trace sink (see [`crate::trace`]).
-    tracer: Option<Box<dyn Tracer>>,
+    /// Optional per-tick trace recorder (see [`crate::trace`]).
+    tracer: Option<TraceRecorder>,
     /// Intra-run worker threads for the shardable step phases (see
     /// [`set_threads`](Self::set_threads)). Never affects results.
     threads: usize,
@@ -487,7 +487,7 @@ impl Engine {
         &self.defenses
     }
 
-    /// Plugged-in faults (for downcasting after a run).
+    /// Plugged-in faults.
     pub fn faults(&self) -> &[Box<dyn Fault>] {
         &self.faults
     }
@@ -538,23 +538,17 @@ impl Engine {
         self.pipeline.as_ref()
     }
 
-    /// Attaches a per-tick trace sink, alongside attacks, defenses and
-    /// faults. Each step emits phase-scoped [`TraceRecord`]s stamped with
-    /// the tick index and tick-derived simulation time only — never wall
-    /// clock — so the recorded stream is identical across worker counts
-    /// and machines. The tracer's digest is folded into the
-    /// [`RunSummary`].
-    pub fn attach_tracer(&mut self, tracer: Box<dyn Tracer>) {
+    /// Attaches a per-tick trace recorder. Each step emits phase-scoped
+    /// [`TraceRecord`]s stamped with the tick index and tick-derived
+    /// simulation time only — never wall clock — so the recorded stream is
+    /// identical across worker counts and machines. The recorder's digest
+    /// is folded into the [`RunSummary`].
+    pub fn attach_tracer(&mut self, tracer: TraceRecorder) {
         self.tracer = Some(tracer);
     }
 
-    /// The attached tracer, if any (for downcasting after a run).
-    pub fn tracer(&self) -> Option<&dyn Tracer> {
-        self.tracer.as_deref()
-    }
-
-    /// Detaches and returns the tracer (to extract the recorded trace).
-    pub fn take_tracer(&mut self) -> Option<Box<dyn Tracer>> {
+    /// Detaches and returns the recorder (to extract the recorded trace).
+    pub fn take_tracer(&mut self) -> Option<TraceRecorder> {
         self.tracer.take()
     }
 
@@ -565,7 +559,7 @@ impl Engine {
     /// hook loops, delivery processing — can emit without fighting the
     /// borrow checker, mirroring how `events.push` is reached.
     fn trace_into(
-        tracer: &mut Option<Box<dyn Tracer>>,
+        tracer: &mut Option<TraceRecorder>,
         tick: u64,
         time: f64,
         phase: TracePhase,
@@ -814,9 +808,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Fails when any attached component does not support deep cloning
-    /// (its `clone_box` returns `None`), when an observation sink is
-    /// attached (the sink is a side channel the snapshot cannot carry —
+    /// Fails when an attached attack or defense does not support deep
+    /// cloning (its `clone_box` returns `None`), when an observation sink
+    /// is attached (the sink is a side channel the snapshot cannot carry —
     /// re-attach it to the restored engine instead), or when the captured
     /// copy's digest disagrees with the live engine's (a `clone_box`
     /// implementation lost state).
@@ -832,10 +826,11 @@ impl Engine {
         Ok(EngineSnapshot { engine, digest })
     }
 
-    /// Deep-clones the engine, component by component. Trait objects go
-    /// through their `clone_box` hooks; the first component that refuses
-    /// names itself in the error. Scratch buffers are *not* copied — they
-    /// are cleared before every use, so a fresh default is equivalent.
+    /// Deep-clones the engine, component by component. Attacks and
+    /// defenses go through their `clone_box` hooks; the first one that
+    /// refuses names itself in the error. Scratch buffers are *not* copied
+    /// — they are cleared before every use, so a fresh default is
+    /// equivalent.
     pub fn try_clone(&self) -> Result<Engine, SnapshotError> {
         if self.obs_sink.is_some() {
             // The sink taps the observation stream without being part of
@@ -845,51 +840,31 @@ impl Engine {
                 "observation sink (re-attach it to the restored engine)",
             ));
         }
-        let world = self.world.try_clone().map_err(SnapshotError::new)?;
-        let mut attacks: Vec<Box<dyn Attack>> = Vec::with_capacity(self.attacks.len());
-        for attack in &self.attacks {
-            attacks.push(
-                attack
-                    .clone_box()
-                    .ok_or_else(|| SnapshotError::new(format!("attack `{}`", attack.name())))?,
-            );
-        }
-        let mut defenses: Vec<Box<dyn Defense>> = Vec::with_capacity(self.defenses.len());
-        for defense in &self.defenses {
-            defenses.push(
-                defense
-                    .clone_box()
-                    .ok_or_else(|| SnapshotError::new(format!("defense `{}`", defense.name())))?,
-            );
-        }
-        let mut faults: Vec<Box<dyn Fault>> = Vec::with_capacity(self.faults.len());
-        for fault in &self.faults {
-            faults.push(
-                fault
-                    .clone_box()
-                    .ok_or_else(|| SnapshotError::new(format!("fault `{}`", fault.name())))?,
-            );
-        }
-        let pipeline = match &self.pipeline {
-            Some(p) => Some(
-                p.try_clone()
-                    .ok_or_else(|| SnapshotError::new("detector pipeline"))?,
-            ),
-            None => None,
-        };
-        let tracer = match &self.tracer {
-            Some(t) => Some(t.clone_box().ok_or_else(|| SnapshotError::new("tracer"))?),
-            None => None,
-        };
+        let attacks = self
+            .attacks
+            .iter()
+            .map(|a| {
+                a.clone_box()
+                    .ok_or_else(|| SnapshotError::new(format!("attack `{}`", a.name())))
+            })
+            .collect::<Result<_, _>>()?;
+        let defenses = self
+            .defenses
+            .iter()
+            .map(|d| {
+                d.clone_box()
+                    .ok_or_else(|| SnapshotError::new(format!("defense `{}`", d.name())))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(Engine {
             scenario: self.scenario.clone(),
-            world,
+            world: self.world.clone(),
             ca: self.ca.clone(),
             group_key: self.group_key,
             maneuvers: self.maneuvers.clone(),
             attacks,
             defenses,
-            faults,
+            faults: self.faults.clone(),
             metrics: self.metrics.clone(),
             events: self.events.clone(),
             rng: self.rng.clone(),
@@ -897,7 +872,7 @@ impl Engine {
             claimed_positions: self.claimed_positions.clone(),
             rejected_messages: self.rejected_messages,
             detections: self.detections,
-            pipeline,
+            pipeline: self.pipeline.clone(),
             obs_sink: None,
             truth: self.truth.clone(),
             next_platoon_id: self.next_platoon_id,
@@ -906,7 +881,7 @@ impl Engine {
             service_was_down: self.service_was_down.clone(),
             scratch: StepScratch::default(),
             perf: self.perf,
-            tracer,
+            tracer: self.tracer.clone(),
             threads: self.threads,
             medium_pairs: self.medium_pairs,
         })
@@ -1359,6 +1334,50 @@ impl Engine {
         }
     }
 
+    /// Engine-level authentication, then every defense's `filter_rx`. The
+    /// first refusal rejects the delivery: it is counted, logged as
+    /// [`Event::MessageRejected`] and traced as a defense verdict, in that
+    /// order, and `None` comes back.
+    fn screen(
+        &mut self,
+        rx_idx: usize,
+        delivery: &Delivery,
+        env: &Envelope,
+        now: f64,
+    ) -> Option<PlatoonMessage> {
+        let verdict = self.authenticate(env, now).and_then(|msg| {
+            for defense in self.defenses.iter_mut() {
+                defense.filter_rx(rx_idx, &self.world, delivery, env, now)?;
+            }
+            Ok(msg)
+        });
+        let reason = match verdict {
+            Ok(msg) => return Some(msg),
+            Err(reason) => reason,
+        };
+        self.rejected_messages += 1;
+        self.events.push(
+            now,
+            Event::MessageRejected {
+                receiver: rx_idx,
+                sender: env.sender,
+                reason,
+            },
+        );
+        Self::trace_into(
+            &mut self.tracer,
+            self.steps_run,
+            now,
+            TracePhase::Defense,
+            TraceDetail::DefenseVerdict {
+                receiver: rx_idx as u64,
+                sender: env.sender.0,
+                reason: format!("{reason:?}"),
+            },
+        );
+        None
+    }
+
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
         // PDR accounting: count at most one delivery per (sender, receiver)
@@ -1424,64 +1443,9 @@ impl Engine {
             let Ok(env) = Envelope::decode(&delivery.payload) else {
                 continue;
             };
-            // Engine-level authentication.
-            let msg = match self.authenticate(&env, now) {
-                Ok(msg) => msg,
-                Err(reason) => {
-                    self.rejected_messages += 1;
-                    self.events.push(
-                        now,
-                        Event::MessageRejected {
-                            receiver: rx_idx,
-                            sender: env.sender,
-                            reason,
-                        },
-                    );
-                    Self::trace_into(
-                        &mut self.tracer,
-                        self.steps_run,
-                        now,
-                        TracePhase::Defense,
-                        TraceDetail::DefenseVerdict {
-                            receiver: rx_idx as u64,
-                            sender: env.sender.0,
-                            reason: format!("{reason:?}"),
-                        },
-                    );
-                    continue;
-                }
-            };
-            // Defense filters.
-            let mut rejected = None;
-            for defense in self.defenses.iter_mut() {
-                if let Err(reason) = defense.filter_rx(rx_idx, &self.world, delivery, &env, now) {
-                    rejected = Some(reason);
-                    break;
-                }
-            }
-            if let Some(reason) = rejected {
-                self.rejected_messages += 1;
-                self.events.push(
-                    now,
-                    Event::MessageRejected {
-                        receiver: rx_idx,
-                        sender: env.sender,
-                        reason,
-                    },
-                );
-                Self::trace_into(
-                    &mut self.tracer,
-                    self.steps_run,
-                    now,
-                    TracePhase::Defense,
-                    TraceDetail::DefenseVerdict {
-                        receiver: rx_idx as u64,
-                        sender: env.sender.0,
-                        reason: format!("{reason:?}"),
-                    },
-                );
+            let Some(msg) = self.screen(rx_idx, delivery, &env, now) else {
                 continue;
-            }
+            };
             if !seen_payloads.insert((rx_idx, digests.digest(&delivery.payload))) {
                 continue; // duplicate channel copy already applied
             }
@@ -1498,8 +1462,8 @@ impl Engine {
             }
             self.apply_message(rx_idx, env.sender, &env, msg, now, &mut layout_cache);
         }
-        self.perf.detector_observations += observations.len() as u64;
         if let Some(pipeline) = self.pipeline.as_mut() {
+            self.perf.detector_observations += observations.len() as u64;
             pipeline.ingest_messages(&observations);
         }
         if let Some(sink) = self.obs_sink.as_mut() {
@@ -2261,7 +2225,7 @@ impl Engine {
             mean_abs_spacing_error: mean_abs,
             perf: self.perf,
             events_dropped: self.events.dropped(),
-            trace: self.tracer.as_ref().map(|t| t.digest()),
+            trace: self.tracer.as_ref().map(TraceRecorder::digest),
         }
     }
 }

@@ -18,7 +18,6 @@
 //! them without a dependency cycle.
 
 use crate::world::World;
-use std::any::Any;
 use std::fmt::Debug;
 
 /// A pluggable benign fault.
@@ -48,14 +47,14 @@ pub trait Fault: Debug {
         let _ = world;
     }
 
-    /// Downcasting support for inspecting fault state after a run.
-    fn as_any(&self) -> &dyn Any;
-
     /// Clones the fault (including accumulated delta/saved state) into a
-    /// fresh box, for engine snapshots. `None` means the fault does not
-    /// support snapshotting; engines carrying it cannot be checkpointed.
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        None
+    /// fresh box, for engine snapshots.
+    fn clone_box(&self) -> Box<dyn Fault>;
+}
+
+impl Clone for Box<dyn Fault> {
+    fn clone(&self) -> Self {
+        self.clone_box()
     }
 }
 
@@ -71,26 +70,21 @@ impl Fault for NoFault {
 
     fn apply(&mut self, _world: &mut World, _now: f64) {}
 
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Fault>> {
-        Some(Box::new(*self))
+    fn clone_box(&self) -> Box<dyn Fault> {
+        Box::new(*self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prelude::{Engine, Scenario};
+    use crate::prelude::{Engine, Scenario, TraceRecorder};
 
     /// A fault that raises the noise floor for the whole run and restores it
     /// at the end — the minimal scoped-mutation shape concrete faults follow.
-    #[derive(Debug)]
+    #[derive(Clone, Debug)]
     struct NoisyRun {
         saved: Option<f64>,
-        applications: usize,
     }
 
     impl Fault for NoisyRun {
@@ -98,7 +92,6 @@ mod tests {
             "noisy-run"
         }
         fn apply(&mut self, world: &mut World, _now: f64) {
-            self.applications += 1;
             if self.saved.is_none() {
                 self.saved = Some(world.medium.dsrc.noise_floor_dbm);
                 world.medium.dsrc.noise_floor_dbm += 20.0;
@@ -109,8 +102,8 @@ mod tests {
                 world.medium.dsrc.noise_floor_dbm = saved;
             }
         }
-        fn as_any(&self) -> &dyn Any {
-            self
+        fn clone_box(&self) -> Box<dyn Fault> {
+            Box::new(self.clone())
         }
     }
 
@@ -127,17 +120,17 @@ mod tests {
     fn faults_run_every_step_and_are_restored_after_run() {
         let mut engine = Engine::new(quick("fault-hook"));
         let clean_floor = engine.world().medium.dsrc.noise_floor_dbm;
-        engine.add_fault(Box::new(NoisyRun {
-            saved: None,
-            applications: 0,
-        }));
+        engine.add_fault(Box::new(NoisyRun { saved: None }));
+        engine.attach_tracer(TraceRecorder::new());
         engine.run();
-        let fault = engine.faults()[0]
-            .as_any()
-            .downcast_ref::<NoisyRun>()
-            .expect("first fault is ours");
-        assert_eq!(fault.applications as u64, engine.steps_run());
-        assert!(fault.saved.is_none(), "restore ran");
+        let applied = engine
+            .take_tracer()
+            .expect("tracer attached above")
+            .lines()
+            .iter()
+            .filter(|line| line.contains("\"fault_applied\""))
+            .count();
+        assert_eq!(applied as u64, engine.steps_run());
         assert_eq!(
             engine.world().medium.dsrc.noise_floor_dbm,
             clean_floor,
@@ -149,10 +142,7 @@ mod tests {
     fn faults_degrade_the_channel_before_attacks_see_it() {
         let clean = Engine::new(quick("fault-clean")).run();
         let mut engine = Engine::new(quick("fault-clean"));
-        engine.add_fault(Box::new(NoisyRun {
-            saved: None,
-            applications: 0,
-        }));
+        engine.add_fault(Box::new(NoisyRun { saved: None }));
         let faulty = engine.run();
         assert!(
             faulty.leader_tail_pdr < clean.leader_tail_pdr,
@@ -166,10 +156,7 @@ mod tests {
     fn restore_faults_is_idempotent_and_manual_steppers_can_call_it() {
         let mut engine = Engine::new(quick("fault-manual"));
         let clean_floor = engine.world().medium.dsrc.noise_floor_dbm;
-        engine.add_fault(Box::new(NoisyRun {
-            saved: None,
-            applications: 0,
-        }));
+        engine.add_fault(Box::new(NoisyRun { saved: None }));
         engine.step();
         assert!(engine.world().medium.dsrc.noise_floor_dbm > clean_floor);
         engine.restore_faults();

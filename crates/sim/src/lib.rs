@@ -15,8 +15,7 @@
 //!   (burst loss, sensor outages, RSU blackouts, ...).
 //! * [`agents`] — benign traffic agents (e.g. a legitimate joiner).
 //! * [`metrics`] / [`events`] — what a run reports.
-//! * [`trace`] — the deterministic per-tick trace hook (recorder lives in
-//!   `platoon-trace`).
+//! * [`trace`] — the deterministic per-tick trace recorder and trace diff.
 //! * [`cli`] — the command-line layer every subcommand of the
 //!   `platoon-security` binary runs on.
 //!
@@ -74,7 +73,7 @@ pub mod prelude {
     pub use crate::perf::PerfCounters;
     pub use crate::regime::{steps_for, RegimePhase, RegimePlan};
     pub use crate::scenario::{AuthMode, CommsMode, ControllerKind, Scenario, ScenarioBuilder};
-    pub use crate::trace::{TraceDetail, TraceDigest, TracePhase, TraceRecord, Tracer};
+    pub use crate::trace::{TraceDetail, TraceDigest, TracePhase, TraceRecord, TraceRecorder};
     pub use crate::world::{
         AuthMaterial, BeaconLie, CommState, HeardPeer, Rsu, VehicleNode, World,
     };

@@ -134,7 +134,7 @@ pub struct RunSummary {
     /// snapshots) so saturation can never silently undercount again.
     pub events_dropped: u64,
     /// Digest of the attached per-tick trace, when a
-    /// [`Tracer`](crate::trace::Tracer) was attached.
+    /// [`TraceRecorder`](crate::trace::TraceRecorder) was attached.
     pub trace: Option<TraceDigest>,
 }
 

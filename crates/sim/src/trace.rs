@@ -1,24 +1,41 @@
-//! Deterministic per-tick tracing: the hook trait and record types.
+//! Deterministic per-tick tracing: the record types, the bounded JSONL
+//! [`TraceRecorder`] and the [`diff_traces`] helper.
 //!
 //! The paper's §V attack-effect claims (oscillation, disband, blocked
 //! joins) are *temporal* stories, but a [`RunSummary`](crate::metrics::RunSummary)
 //! only exposes end-of-run aggregates — when a golden diverges or a
 //! detector misfires there is no way to see which tick and which phase
 //! (fault → attack → medium → defense → detector → dynamics) went wrong.
-//! A [`Tracer`] attached via [`Engine::attach_tracer`](crate::engine::Engine::attach_tracer)
+//! A [`TraceRecorder`] attached via [`Engine::attach_tracer`](crate::engine::Engine::attach_tracer)
 //! receives one [`TraceRecord`] per phase event, each stamped with the
 //! tick index and the tick-derived simulation time only (never wall
 //! clock), so two runs of the same scenario and seed produce *identical*
 //! record streams regardless of worker count, machine or load.
+//! [`diff_traces`] then turns "golden mismatch" debugging into a
+//! one-command answer: the first diverging line with its tick and phase.
 //!
-//! This module follows the same split as [`fault`](crate::fault) and
-//! [`attack`](crate::attack): the trait and record types live in
-//! `platoon-sim` (so the engine can emit without a dependency cycle),
-//! while the bounded JSONL recorder and the trace-diff helper live in the
-//! `platoon-trace` crate.
+//! Attach a recorder, run the scenario, then
+//! [`Engine::take_tracer`](crate::engine::Engine::take_tracer) to extract
+//! the JSONL text:
+//!
+//! ```
+//! use platoon_sim::prelude::*;
+//!
+//! let scenario = Scenario::builder()
+//!     .label("traced")
+//!     .vehicles(4)
+//!     .duration(2.0)
+//!     .build();
+//! let mut engine = Engine::new(scenario);
+//! engine.attach_tracer(TraceRecorder::new());
+//! let summary = engine.run();
+//! let recorder = engine.take_tracer().unwrap();
+//! assert_eq!(summary.trace, Some(recorder.digest()));
+//! assert!(recorder.to_jsonl().lines().count() > 0);
+//! ```
 
-use crate::harness::json::Writer;
-use std::any::Any;
+use crate::harness::json::{self, Writer};
+use crate::harness::{fnv1a_fold, FNV_OFFSET};
 
 /// The engine phase a trace record was emitted from, in step order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -230,36 +247,184 @@ impl TraceDigest {
     }
 }
 
-/// A per-tick trace sink, attached to the engine alongside attacks,
-/// defenses and faults via
-/// [`Engine::attach_tracer`](crate::engine::Engine::attach_tracer).
+/// Default retained-line bound: generous enough for any experiment in this
+/// workspace (a 60 s full-effort scenario emits a few thousand records)
+/// while still bounding a pathological alert storm.
+pub const DEFAULT_CAPACITY: usize = 1_000_000;
+
+/// A deterministic, bounded trace recorder.
 ///
-/// Implementations must be deterministic functions of the record stream:
-/// no wall clock, no thread ids, no randomness — the whole point is that
-/// traces are byte-identical across worker counts and machines.
-pub trait Tracer: std::fmt::Debug + Send {
-    /// Receives one record. Called in emission order within a tick and in
-    /// tick order across the run.
-    fn record(&mut self, record: &TraceRecord);
+/// Every [`TraceRecord`] is rendered *eagerly* to its compact canonical-JSON
+/// line (so retained bytes cannot drift from what was emitted) and folded
+/// into a running FNV-1a digest. The digest covers the **full** stream —
+/// records dropped past the [`with_capacity`](Self::with_capacity) bound
+/// still hash — so the [`TraceDigest`] in a run summary pins the entire
+/// trace even when the retained file is truncated. Determinism is
+/// inherited from the record stream: no wall clock, no thread ids, no
+/// randomness.
+#[derive(Clone, Debug)]
+pub struct TraceRecorder {
+    lines: Vec<String>,
+    capacity: usize,
+    records: u64,
+    dropped: u64,
+    hash: u64,
+}
+
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl TraceRecorder {
+    /// A recorder retaining at most [`DEFAULT_CAPACITY`] lines.
+    pub fn new() -> Self {
+        Self::with_capacity(DEFAULT_CAPACITY)
+    }
+
+    /// A recorder retaining at most `capacity` lines (later records are
+    /// hashed and counted, but their lines are dropped).
+    pub fn with_capacity(capacity: usize) -> Self {
+        TraceRecorder {
+            lines: Vec::new(),
+            capacity,
+            records: 0,
+            dropped: 0,
+            hash: FNV_OFFSET,
+        }
+    }
+
+    /// Receives one record. The engine calls it in emission order within a
+    /// tick and in tick order across the run.
+    pub fn record(&mut self, record: &TraceRecord) {
+        let line = record.to_canonical_line();
+        self.records += 1;
+        // Delimit lines in the hash stream the same way the file does.
+        self.hash = fnv1a_fold(fnv1a_fold(self.hash, line.as_bytes()), b"\n");
+        if self.lines.len() < self.capacity {
+            self.lines.push(line);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Retained canonical lines, in emission order.
+    pub fn lines(&self) -> &[String] {
+        &self.lines
+    }
 
     /// The digest of everything recorded so far.
-    fn digest(&self) -> TraceDigest;
+    pub fn digest(&self) -> TraceDigest {
+        TraceDigest {
+            records: self.records,
+            dropped: self.dropped,
+            hash: self.hash,
+        }
+    }
 
-    /// Downcasting support (extract a concrete recorder after a run).
-    fn as_any(&self) -> &dyn Any;
+    /// The retained trace as a JSONL document (one canonical line per
+    /// record, trailing newline; empty string when nothing was retained).
+    pub fn to_jsonl(&self) -> String {
+        let mut out = String::new();
+        for line in &self.lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+        out
+    }
+}
 
-    /// Clones the tracer (including every record buffered so far) into a
-    /// fresh box, for engine snapshots. `None` means the tracer does not
-    /// support snapshotting; engines carrying it cannot be checkpointed.
-    fn clone_box(&self) -> Option<Box<dyn Tracer>> {
-        None
+/// Marker used in a [`Divergence`] for the side whose trace ended first.
+pub const END_OF_TRACE: &str = "<end of trace>";
+
+/// The first point where two traces disagree.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Divergence {
+    /// 1-based line number of the first differing line.
+    pub line: usize,
+    /// The differing record's tick, when either side parses as a trace
+    /// record (taken from the left side if present, else the right).
+    pub tick: Option<u64>,
+    /// The differing record's phase, same preference.
+    pub phase: Option<String>,
+    /// The left trace's line ([`END_OF_TRACE`] if it ended first).
+    pub left: String,
+    /// The right trace's line ([`END_OF_TRACE`] if it ended first).
+    pub right: String,
+}
+
+impl Divergence {
+    /// One-line human rendering: `line 12 (tick 7, phase medium): ...`.
+    pub fn describe(&self) -> String {
+        let at = match (&self.tick, &self.phase) {
+            (Some(t), Some(p)) => format!(" (tick {t}, phase {p})"),
+            (Some(t), None) => format!(" (tick {t})"),
+            _ => String::new(),
+        };
+        format!(
+            "line {}{at}:\n  left:  {}\n  right: {}",
+            self.line, self.left, self.right
+        )
+    }
+}
+
+/// Extracts `(tick, phase)` from a canonical trace line, if it parses.
+fn tick_and_phase(line: &str) -> (Option<u64>, Option<String>) {
+    let Ok(v) = json::parse(line) else {
+        return (None, None);
+    };
+    let tick = v
+        .get("tick")
+        .and_then(|t| t.as_f64())
+        .map(|t| t.round() as u64);
+    let phase = v.get("phase").and_then(|p| match p {
+        json::Value::Str(s) => Some(s.clone()),
+        _ => None,
+    });
+    (tick, phase)
+}
+
+/// Compares two JSONL traces line by line and returns the first
+/// divergence, or `None` when they are identical.
+///
+/// Byte-level comparison: the whole point of the canonical encoding is
+/// that equal runs produce equal bytes, so anything subtler would paper
+/// over real nondeterminism. A missing line (one trace ended first) is a
+/// divergence whose shorter side reads [`END_OF_TRACE`].
+pub fn diff_traces(left: &str, right: &str) -> Option<Divergence> {
+    let mut l = left.lines();
+    let mut r = right.lines();
+    let mut line = 0usize;
+    loop {
+        line += 1;
+        match (l.next(), r.next()) {
+            (None, None) => return None,
+            (a, b) if a == b => continue,
+            (a, b) => {
+                let left_line = a.unwrap_or(END_OF_TRACE).to_string();
+                let right_line = b.unwrap_or(END_OF_TRACE).to_string();
+                // Prefer the side that still has a record to name tick/phase.
+                let (tick, phase) = match (a, b) {
+                    (Some(a), _) => tick_and_phase(a),
+                    (None, Some(b)) => tick_and_phase(b),
+                    (None, None) => unreachable!("handled above"),
+                };
+                return Some(Divergence {
+                    line,
+                    tick,
+                    phase,
+                    left: left_line,
+                    right: right_line,
+                });
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::json;
 
     #[test]
     fn canonical_lines_are_single_line_and_parse() {
@@ -341,5 +506,122 @@ mod tests {
         assert!(text.contains("\"hash\": \"00abcdef12345678\""), "{text}");
         let v = json::parse(&text).unwrap();
         assert_eq!(v.get("records").unwrap().as_f64(), Some(12.0));
+    }
+
+    fn medium_record(tick: u64, delivered: u64) -> TraceRecord {
+        TraceRecord {
+            tick,
+            time: tick as f64 * 0.1,
+            phase: TracePhase::Medium,
+            detail: TraceDetail::MediumStep {
+                offered: 4,
+                delivered,
+                lost: 0,
+                max_latency: 0.0021,
+            },
+        }
+    }
+
+    #[test]
+    fn recorder_retains_lines_in_order_and_digests() {
+        let mut r = TraceRecorder::new();
+        for tick in 0..5 {
+            r.record(&medium_record(tick, 12));
+        }
+        assert_eq!(r.lines().len(), 5);
+        let d = r.digest();
+        assert_eq!(d.records, 5);
+        assert_eq!(d.dropped, 0);
+        assert!(r.to_jsonl().ends_with('\n'));
+        assert_eq!(r.to_jsonl().lines().count(), 5);
+        // The digest is a pure function of the record stream.
+        let mut again = TraceRecorder::new();
+        for tick in 0..5 {
+            again.record(&medium_record(tick, 12));
+        }
+        assert_eq!(again.digest(), d);
+    }
+
+    #[test]
+    fn over_capacity_records_are_hashed_but_not_retained() {
+        let mut bounded = TraceRecorder::with_capacity(3);
+        let mut unbounded = TraceRecorder::new();
+        for tick in 0..10 {
+            bounded.record(&medium_record(tick, 12));
+            unbounded.record(&medium_record(tick, 12));
+        }
+        assert_eq!(bounded.lines().len(), 3);
+        assert_eq!(bounded.digest().dropped, 7);
+        assert_eq!(bounded.digest().records, 10);
+        // The digest pins the FULL stream, truncated file or not.
+        assert_eq!(bounded.digest().hash, unbounded.digest().hash);
+    }
+
+    #[test]
+    fn different_streams_hash_differently() {
+        let mut a = TraceRecorder::new();
+        let mut b = TraceRecorder::new();
+        a.record(&medium_record(1, 12));
+        b.record(&medium_record(2, 12));
+        assert_ne!(a.digest().hash, b.digest().hash);
+        assert_ne!(a.digest().hash, TraceRecorder::new().digest().hash);
+    }
+
+    #[test]
+    fn empty_recorder_digest_is_the_fnv_offset() {
+        let r = TraceRecorder::new();
+        let d = r.digest();
+        assert_eq!(d.records, 0);
+        assert_eq!(d.hash, FNV_OFFSET);
+        assert_eq!(r.to_jsonl(), "");
+    }
+
+    fn jsonl(ticks: &[(u64, u64)]) -> String {
+        let mut r = TraceRecorder::new();
+        for &(tick, delivered) in ticks {
+            r.record(&medium_record(tick, delivered));
+        }
+        r.to_jsonl()
+    }
+
+    #[test]
+    fn identical_traces_do_not_diverge() {
+        let a = jsonl(&[(0, 12), (1, 11), (2, 12)]);
+        assert_eq!(diff_traces(&a, &a), None);
+        assert_eq!(diff_traces("", ""), None);
+    }
+
+    #[test]
+    fn first_divergence_names_line_tick_and_phase() {
+        let a = jsonl(&[(0, 12), (1, 11), (2, 12)]);
+        let b = jsonl(&[(0, 12), (1, 9), (2, 12)]);
+        let d = diff_traces(&a, &b).expect("traces differ");
+        assert_eq!(d.line, 2);
+        assert_eq!(d.tick, Some(1));
+        assert_eq!(d.phase.as_deref(), Some("medium"));
+        assert!(d.describe().contains("tick 1"), "{}", d.describe());
+        assert!(d.describe().contains("phase medium"));
+    }
+
+    #[test]
+    fn truncated_trace_diverges_at_the_missing_line() {
+        let a = jsonl(&[(0, 12), (1, 11)]);
+        let b = jsonl(&[(0, 12)]);
+        let d = diff_traces(&a, &b).expect("lengths differ");
+        assert_eq!(d.line, 2);
+        assert_eq!(d.right, END_OF_TRACE);
+        assert_eq!(d.tick, Some(1), "tick comes from the surviving side");
+        // Symmetric the other way round.
+        let d = diff_traces(&b, &a).expect("lengths differ");
+        assert_eq!(d.left, END_OF_TRACE);
+        assert_eq!(d.tick, Some(1));
+    }
+
+    #[test]
+    fn non_record_lines_still_diff_without_tick() {
+        let d = diff_traces("not json\n", "also not json\n").expect("differ");
+        assert_eq!(d.line, 1);
+        assert_eq!(d.tick, None);
+        assert_eq!(d.phase, None);
     }
 }

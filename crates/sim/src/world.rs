@@ -96,7 +96,7 @@ impl BeaconLie {
 }
 
 /// A vehicle participating in the simulation.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct VehicleNode {
     /// Application-level identity (pseudonymous or long-term).
     pub principal: PrincipalId,
@@ -144,37 +144,6 @@ impl VehicleNode {
     pub fn position(&self) -> Position {
         (self.vehicle.state.position, self.lane_offset)
     }
-
-    /// Clones the node for engine snapshots. Fails (with the controller's
-    /// name) when the boxed controller does not support
-    /// [`LongitudinalController::clone_box`].
-    pub fn try_clone(&self) -> Result<VehicleNode, String> {
-        let controller = self
-            .controller
-            .clone_box()
-            .ok_or_else(|| format!("controller `{}`", self.controller.name()))?;
-        Ok(VehicleNode {
-            principal: self.principal,
-            node: self.node,
-            vehicle: self.vehicle,
-            sensors: self.sensors,
-            controller,
-            role: self.role,
-            platoon: self.platoon,
-            seq: self.seq,
-            nonce: self.nonce,
-            comm: self.comm.clone(),
-            auth: self.auth.clone(),
-            fuel: self.fuel,
-            extra_front_gap: self.extra_front_gap,
-            extra_gap_until: self.extra_gap_until,
-            beacon_lie: self.beacon_lie,
-            infected: self.infected,
-            hardened: self.hardened,
-            platooning_enabled: self.platooning_enabled,
-            lane_offset: self.lane_offset,
-        })
-    }
 }
 
 /// A roadside unit: fixed infrastructure with a radio and a trusted link to
@@ -191,7 +160,7 @@ pub struct Rsu {
 
 /// Mutable world state threaded through the engine and the attack/defense
 /// hooks.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct World {
     /// Simulation time in seconds.
     pub time: f64,
@@ -349,24 +318,6 @@ impl World {
             entry.0 += 1;
         }
         layout
-    }
-
-    /// Clones the whole world for engine snapshots; the lookup maps are
-    /// rebuilt rather than copied. Fails when any vehicle's controller
-    /// does not support cloning.
-    pub fn try_clone(&self) -> Result<World, String> {
-        let mut vehicles = Vec::with_capacity(self.vehicles.len());
-        for v in &self.vehicles {
-            vehicles.push(v.try_clone()?);
-        }
-        let mut world = World::new(
-            vehicles,
-            self.rsus.clone(),
-            self.medium,
-            self.jammers.clone(),
-        );
-        world.time = self.time;
-        Ok(world)
     }
 
     /// Number of distinct platoon ids present (fragmentation metric).

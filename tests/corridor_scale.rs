@@ -12,7 +12,7 @@ use platoon_core::experiments::corridor::{
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_sim::engine::Engine;
 use platoon_sim::prelude::Scenario;
-use platoon_trace::TraceRecorder;
+use platoon_sim::trace::TraceRecorder;
 
 /// One corridor arm at an explicit engine-thread count (2 platoons of
 /// 5 trucks, split + merge + joiner all exercised).
@@ -126,7 +126,7 @@ fn lookup_maps_survive_joins_and_splits() {
         .build();
     let comm_step = scenario.comm_step;
     let mut engine = Engine::new(scenario);
-    engine.attach_tracer(Box::new(TraceRecorder::new()));
+    engine.attach_tracer(TraceRecorder::new());
     engine.add_attack(Box::new(platoon_core::experiments::common::legit_joiner(
         0.5,
     )));

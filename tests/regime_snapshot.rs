@@ -10,7 +10,6 @@
 //! trace digest), so a restored engine can neither lose nor replay a tick.
 
 use platoon_security::prelude::*;
-use platoon_trace::TraceRecorder;
 use proptest::prelude::*;
 
 const STEP: f64 = 0.1;
@@ -49,7 +48,7 @@ fn build_engine(seed: u64, threads: usize) -> Engine {
         ..Default::default()
     })));
     engine.attach_detector_config(PipelineConfig::default_profile());
-    engine.attach_tracer(Box::new(TraceRecorder::new()));
+    engine.attach_tracer(TraceRecorder::new());
     engine
 }
 

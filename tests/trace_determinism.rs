@@ -7,7 +7,7 @@
 use platoon_core::experiments::common::EXPERIMENT_BASE_SEED;
 use platoon_core::experiments::trace::{run_with, to_canonical_json, DEFAULT_ATTACK};
 use platoon_sim::prelude::{Event, EventLog};
-use platoon_trace::diff_traces;
+use platoon_sim::trace::diff_traces;
 
 #[test]
 fn trace_jsonl_is_byte_identical_across_1_and_8_workers() {
