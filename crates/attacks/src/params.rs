@@ -26,10 +26,17 @@
 //! let attack = p.build(30.0); // a Box<dyn Attack> for a 30 s run
 //! assert_eq!(attack.name(), "jamming");
 //! ```
+//!
+//! [`AttackParams::truth`] labels a finished run of the attack it builds,
+//! reading the attack start off the same timing knob `build` schedules it
+//! from.
 
 use crate::prelude::*;
+use platoon_crypto::cert::PrincipalId;
 use platoon_sim::attack::Attack;
 use platoon_sim::harness::json::{self, Value};
+use platoon_sim::metrics::TruthLabels;
+use platoon_sim::world::World;
 use platoon_v2x::jamming::JammingStrategy;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -444,6 +451,75 @@ impl AttackParams {
             other => unreachable!("AttackParams constructed for unknown attack {other}"),
         }
     }
+
+    /// Ground-truth labels for a finished run of [`build`](Self::build)'s
+    /// attack over `duration` seconds. The attack start comes from the
+    /// timing knob that scheduled it, so a tuned late start cannot launder
+    /// true positives into false ones. `world` is the run's end state: it
+    /// names the victims and the vehicles malware infected.
+    pub fn truth(&self, duration: f64, world: &World) -> TruthLabels {
+        let start_of = |knob: &str| self.get(knob) * duration;
+        let mut truth = TruthLabels {
+            attack: self.attack.clone(),
+            start: 0.0,
+            channel_attack: false,
+            guilty: Vec::new(),
+            guilty_from: None,
+        };
+        match self.attack.as_str() {
+            // Passive listener from the first tick: nothing on the air to
+            // flag, so any alert is false.
+            "eavesdrop" => {}
+            // One forged manoeuvre frame under the leader's identity.
+            "fake-maneuver" => {
+                truth.start = start_of("inject_frac");
+                truth.guilty = vec![world.vehicles[0].principal];
+            }
+            "replay" => {
+                // The replayed frames are verbatim member traffic; alerts
+                // name the replayed identities, so every member is a valid
+                // blame target once the replays start.
+                truth.start = start_of("replay_frac");
+                truth.guilty = world.vehicles.iter().map(|v| v.principal).collect();
+            }
+            "sybil" => {
+                truth.start = start_of("start_frac");
+                truth.guilty_from = Some(7_000);
+            }
+            "jamming" => {
+                truth.start = start_of("start_frac");
+                truth.channel_attack = true;
+            }
+            "dos-join-flood" => {
+                truth.start = start_of("start_frac");
+                truth.channel_attack = true;
+                truth.guilty_from = Some(8_000);
+            }
+            "impersonation" => {
+                truth.start = start_of("start_frac");
+                truth.guilty = vec![PrincipalId(1)];
+            }
+            "sensor-spoof" | "gps-spoof" => {
+                truth.start = start_of("start_frac");
+                truth.guilty = vec![world.vehicles[2].principal];
+            }
+            "malware" => {
+                truth.start = start_of("infect_frac");
+                truth.guilty = world
+                    .vehicles
+                    .iter()
+                    .filter(|v| v.infected)
+                    .map(|v| v.principal)
+                    .collect();
+            }
+            "insider-fdi" => {
+                truth.start = start_of("start_frac");
+                truth.guilty = vec![PrincipalId(2)];
+            }
+            other => unreachable!("AttackParams constructed for unknown attack {other}"),
+        }
+        truth
+    }
 }
 
 fn space_of(attack: &str) -> Result<&'static [ParamSpec], String> {
@@ -462,6 +538,7 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use platoon_sim::prelude::{Engine, Scenario};
     use rand::SeedableRng;
 
     #[test]
@@ -473,6 +550,41 @@ mod tests {
             assert!(!attack.name().is_empty(), "{name}");
             assert_eq!(p.values().len(), param_space(name).unwrap().len());
         }
+    }
+
+    #[test]
+    fn truth_follows_each_timing_knob() {
+        const TIMING_KNOBS: [&str; 4] = ["start_frac", "inject_frac", "replay_frac", "infect_frac"];
+        let duration = 30.0;
+        let engine = Engine::new(Scenario::builder().vehicles(6).duration(duration).build());
+        for name in searchable_attacks() {
+            let defaults = AttackParams::defaults(name).unwrap();
+            let knob = defaults
+                .space()
+                .iter()
+                .position(|s| TIMING_KNOBS.contains(&s.name));
+            let Some(knob) = knob else {
+                // The passive listener runs from the first tick.
+                assert_eq!(name, "eavesdrop", "{name} has no timing knob");
+                assert_eq!(defaults.truth(duration, engine.world()).start, 0.0);
+                continue;
+            };
+            let spec = defaults.space()[knob];
+            for level in [spec.min, spec.default, spec.max] {
+                let mut values = defaults.values().to_vec();
+                values[knob] = level;
+                let p = AttackParams::from_values(name, &values).unwrap();
+                let truth = p.truth(duration, engine.world());
+                assert_eq!(truth.start, level * duration, "{name}.{}", spec.name);
+                assert_eq!(truth.attack, name);
+            }
+        }
+        // The insider lies under its own principal.
+        let insider = AttackParams::defaults("insider-fdi").unwrap();
+        assert_eq!(
+            insider.truth(duration, engine.world()).guilty,
+            vec![PrincipalId(2)]
+        );
     }
 
     #[test]

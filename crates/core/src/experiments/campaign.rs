@@ -22,12 +22,11 @@
 //!   collision under the 2 s AEB trigger band), and safety-margin erosion
 //!   (bumper gap pushed under 10 m).
 
-use super::common::{base_scenario, brake_profile, impact_of, legit_joiner, Effort};
+use super::common::{build_arm, impact_of, Effort};
 use super::table4::profile_for;
 use platoon_attacks::prelude::AttackParams;
-use platoon_crypto::cert::PrincipalId;
 use platoon_sim::harness::json::{self, Value};
-use platoon_sim::prelude::{score_alerts, Engine, TruthLabels};
+use platoon_sim::prelude::score_alerts;
 
 /// Collision weight in [`CandidateOutcome::damage`] — one crash outweighs
 /// any continuous-metric gain.
@@ -175,97 +174,18 @@ pub fn parse_outcome(text: &str) -> Result<CandidateOutcome, String> {
     CandidateOutcome::from_json(&json::parse(text)?)
 }
 
-/// Ground-truth labels for a tuned candidate — Table IV's `truth_for`
-/// generalised from the canonical timings to whatever timing the candidate's knobs chose, so a stealthy
-/// late start cannot launder true positives into false ones.
-pub fn truth_for_params(params: &AttackParams, effort: Effort, engine: &Engine) -> TruthLabels {
-    let d = effort.duration;
-    let attack = params.attack();
-    let start_of = |knob: &str| params.get(knob) * d;
-    let mut truth = TruthLabels {
-        attack: attack.to_string(),
-        start: 0.0,
-        channel_attack: false,
-        guilty: Vec::new(),
-        guilty_from: None,
-    };
-    match attack {
-        // Passive listener: nothing on the air to flag. Any alert is false.
-        "eavesdrop" => {}
-        "fake-maneuver" => {
-            truth.start = start_of("inject_frac");
-            truth.guilty = vec![engine.world().vehicles[0].principal];
-        }
-        "replay" => {
-            truth.start = start_of("replay_frac");
-            truth.guilty = engine
-                .world()
-                .vehicles
-                .iter()
-                .map(|v| v.principal)
-                .collect();
-        }
-        "sybil" => {
-            truth.start = start_of("start_frac");
-            truth.guilty_from = Some(7_000);
-        }
-        "jamming" => {
-            truth.start = start_of("start_frac");
-            truth.channel_attack = true;
-        }
-        "dos-join-flood" => {
-            truth.start = start_of("start_frac");
-            truth.channel_attack = true;
-            truth.guilty_from = Some(8_000);
-        }
-        "impersonation" => {
-            truth.start = start_of("start_frac");
-            truth.guilty = vec![PrincipalId(1)];
-        }
-        "sensor-spoof" | "gps-spoof" => {
-            truth.start = start_of("start_frac");
-            truth.guilty = vec![engine.world().vehicles[2].principal];
-        }
-        "malware" => {
-            truth.start = start_of("infect_frac");
-            truth.guilty = engine
-                .world()
-                .vehicles
-                .iter()
-                .filter(|v| v.infected)
-                .map(|v| v.principal)
-                .collect();
-        }
-        "insider-fdi" => {
-            truth.start = start_of("start_frac");
-            truth.guilty = vec![PrincipalId(2)];
-        }
-        other => panic!("unknown attack {other}"),
-    }
-    truth
-}
-
-/// Runs one campaign cell: the canonical platoon under the candidate's
-/// tuned attack, the default detection pipeline attached, scored against
-/// the candidate's own ground-truth timing.
+/// Runs one campaign cell: the Table IV arm of the candidate's attack
+/// ([`build_arm`]) under its tuned parameters, the default detection
+/// pipeline attached, scored against the candidate's own ground-truth
+/// timing ([`AttackParams::truth`]).
 pub fn evaluate_candidate(params: &AttackParams, quick: bool, seed: u64) -> CandidateOutcome {
     let effort = Effort::new(quick);
     let attack = params.attack();
     let label = format!("campaign/{attack}");
-    let mut builder = base_scenario(&label, effort).seed(seed);
-    if matches!(attack, "replay" | "insider-fdi") {
-        builder = builder.profile(brake_profile());
-    }
-    let mut engine = Engine::new(builder.build());
-    engine.add_attack(params.build(effort.duration));
-    if attack == "dos-join-flood" {
-        // The honest joiner rides along, exactly as in Table IV — the
-        // flood's damage is measured through its join outcome.
-        engine.add_attack(Box::new(legit_joiner(effort.duration * 0.25)));
-    }
+    let mut engine = build_arm(&label, attack, Some(params), None, effort, seed);
     engine.attach_detector_config(profile_for("default"));
     let summary = engine.run();
-    let truth = truth_for_params(params, effort, &engine);
+    let truth = params.truth(effort.duration, engine.world());
     let det = score_alerts(engine.alerts(), &truth);
     let impact = impact_of(attack, &engine, &summary);
     CandidateOutcome {
@@ -285,6 +205,8 @@ pub fn evaluate_candidate(params: &AttackParams, quick: bool, seed: u64) -> Cand
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::common::EXPERIMENT_BASE_SEED;
+    use crate::experiments::table4;
 
     #[test]
     fn default_candidates_evaluate_for_every_attack() {
@@ -322,15 +244,32 @@ mod tests {
     }
 
     #[test]
-    fn truth_tracks_tuned_timing() {
-        let p = AttackParams::from_json(
-            &json::parse(r#"{"attack": "insider-fdi", "params": {"start_frac": 0.5}}"#).unwrap(),
-        )
-        .unwrap();
-        let effort = Effort::quick();
-        let engine = Engine::new(base_scenario("t", effort).build());
-        let truth = truth_for_params(&p, effort, &engine);
-        assert_eq!(truth.start, 0.5 * effort.duration);
-        assert_eq!(truth.guilty, vec![PrincipalId(2)]);
+    fn default_candidates_score_like_table_iv() {
+        // The campaign's default candidate is Table IV's default-profile
+        // arm: same builder, same truth, so the same detection outcome.
+        let seed = EXPERIMENT_BASE_SEED;
+        for desc in platoon_attacks::registry::catalog() {
+            let p = AttackParams::defaults(desc.name).unwrap();
+            let o = evaluate_candidate(&p, true, seed);
+            let d = table4::detection_arm(desc.name, "default", Effort::quick(), seed);
+            assert_eq!(
+                (
+                    o.detected,
+                    o.true_positives,
+                    o.false_positives,
+                    o.alerts,
+                    o.latency_s.to_bits()
+                ),
+                (
+                    d.detected,
+                    d.true_positives as u64,
+                    d.false_positives as u64,
+                    d.alerts as u64,
+                    d.first_detection_latency.to_bits()
+                ),
+                "{}",
+                desc.name
+            );
+        }
     }
 }

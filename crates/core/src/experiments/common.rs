@@ -67,56 +67,22 @@ pub fn brake_profile() -> SpeedProfile {
     }
 }
 
-/// The Table II / Table III attack arm: constructs the attack for a
-/// machine name, with timings scaled into the run.
-pub fn make_attack(name: &str, effort: Effort) -> Box<dyn Attack> {
-    let start = effort.duration * 0.2;
-    match name {
-        "replay" => Box::new(ReplayAttack::new(ReplayConfig {
-            record_from: 0.0,
-            replay_from: start,
-            ..Default::default()
-        })),
-        "sybil" => Box::new(SybilAttack::new(SybilConfig {
-            start,
-            ..Default::default()
-        })),
-        "fake-maneuver" => Box::new(FakeManeuverAttack::new(FakeManeuverConfig {
-            inject_at: start,
-            ..Default::default()
-        })),
-        "jamming" => Box::new(JammingAttack::new(JammingConfig {
-            start,
-            ..Default::default()
-        })),
-        "eavesdrop" => Box::new(EavesdropAttack::new(EavesdropConfig::default())),
-        "dos-join-flood" => Box::new(JoinFloodAttack::new(JoinFloodConfig {
-            start: start * 0.5,
-            ..Default::default()
-        })),
-        "impersonation" => Box::new(ImpersonationAttack::new(ImpersonationConfig {
-            start,
-            duration: effort.duration * 0.3,
-            ..Default::default()
-        })),
-        "sensor-spoof" => Box::new(SensorSpoofAttack::new(SensorSpoofConfig {
-            start,
-            ..Default::default()
-        })),
-        "gps-spoof" => Box::new(GpsSpoofAttack::new(GpsSpoofConfig {
-            start,
-            ..Default::default()
-        })),
-        "malware" => Box::new(MalwareAttack::new(MalwareConfig {
-            infect_at: start * 0.5,
-            ..Default::default()
-        })),
-        "insider-fdi" => Box::new(FalsificationAttack::new(FalsificationConfig {
-            start,
-            ..Default::default()
-        })),
-        other => panic!("unknown attack {other}"),
-    }
+/// The attack a named arm runs: `None` for the attack-free `benign` arm,
+/// otherwise the catalogued attack with every knob at its
+/// [`AttackParams::defaults`] value. Panics with `unknown attack {arm}` on
+/// any other name; a service job reports that panic as a failed job.
+pub fn arm_params(arm: &str) -> Option<AttackParams> {
+    (arm != "benign")
+        .then(|| AttackParams::defaults(arm).unwrap_or_else(|_| panic!("unknown attack {arm}")))
+}
+
+/// Ground truth for a finished arm: [`AttackParams::truth`] for its attack,
+/// or benign labels (every alert false) when it ran none.
+pub fn arm_truth(params: Option<&AttackParams>, effort: Effort, engine: &Engine) -> TruthLabels {
+    params.map_or_else(
+        || TruthLabels::benign("benign"),
+        |p| p.truth(effort.duration, engine.world()),
+    )
 }
 
 /// Applies a Table III mechanism to a scenario builder + engine: returns the
@@ -282,42 +248,36 @@ pub struct ArmOutcome {
     pub impact: f64,
 }
 
-/// Harness job body: runs one (attack, mechanism) arm under the given seed
-/// and reduces it to an [`ArmOutcome`].
+/// Harness job body: runs one Table II/III (attack, mechanism) arm under
+/// the given seed (`mechanism: None` is the undefended arm) and reduces it
+/// to an [`ArmOutcome`].
 pub fn arm_outcome(attack: &str, mechanism: Option<&str>, effort: Effort, seed: u64) -> ArmOutcome {
-    let (engine, summary) = run_arm_seeded(attack, mechanism, effort, seed);
+    let label = format!("{attack}/{}", mechanism.unwrap_or("undefended"));
+    let params = arm_params(attack);
+    let mut engine = build_arm(&label, attack, params.as_ref(), mechanism, effort, seed);
+    let summary = engine.run();
     let impact = impact_of(attack, &engine, &summary);
     ArmOutcome { summary, impact }
 }
 
-/// Runs one (attack, mechanism) arm; `mechanism: None` is the undefended
-/// arm. Returns the engine (for downcasting) and the summary.
-pub fn run_arm(attack: &str, mechanism: Option<&str>, effort: Effort) -> (Engine, RunSummary) {
-    run_arm_seeded(attack, mechanism, effort, EXPERIMENT_BASE_SEED)
-}
-
-/// [`run_arm`] with an explicit scenario seed (the harness derives one per
-/// arm label, so parallel batches stay scheduling-independent).
-pub fn run_arm_seeded(
-    attack: &str,
+/// Builds one named arm under `seed`, before its first step.
+///
+/// `arm` picks the workload: the brake test for the integrity arms
+/// (`replay`, `insider-fdi`), which need conflicting recorded data, and the
+/// honest joiner beside a join flood, carrying PKI credentials when the
+/// mechanism deploys keys. `params` is the attack, `None` for a benign or
+/// baseline arm; `mechanism` adds a Table III mechanism's scenario changes
+/// and defenses.
+pub fn build_arm(
+    label: &str,
+    arm: &str,
+    params: Option<&AttackParams>,
     mechanism: Option<&str>,
     effort: Effort,
     seed: u64,
-) -> (Engine, RunSummary) {
-    let mut engine = build_arm(attack, mechanism, effort, seed);
-    let summary = engine.run();
-    (engine, summary)
-}
-
-/// Builds one (attack, mechanism) arm under `seed`, before its first step:
-/// the scenario, the attack, the honest joiner of the DoS arms and the
-/// mechanism's defenses.
-pub fn build_arm(attack: &str, mechanism: Option<&str>, effort: Effort, seed: u64) -> Engine {
-    let label = format!("{attack}/{}", mechanism.unwrap_or("undefended"));
-    let mut builder = base_scenario(&label, effort).seed(seed);
-    // Integrity attacks use the brake-test workload (needs conflicting data
-    // windows); others keep the sinusoid default.
-    if matches!(attack, "replay" | "insider-fdi") {
+) -> Engine {
+    let mut builder = base_scenario(label, effort).seed(seed);
+    if matches!(arm, "replay" | "insider-fdi") {
         builder = builder.profile(brake_profile());
     }
     let modules = if let Some(m) = mechanism {
@@ -328,8 +288,10 @@ pub fn build_arm(attack: &str, mechanism: Option<&str>, effort: Effort, seed: u6
         Vec::new()
     };
     let mut engine = Engine::new(builder.build());
-    engine.add_attack(make_attack(attack, effort));
-    if attack == "dos-join-flood" {
+    if let Some(p) = params {
+        engine.add_attack(p.build(effort.duration));
+    }
+    if arm == "dos-join-flood" {
         // Under a PKI deployment the honest joiner carries real credentials
         // (the flood, of course, cannot).
         let joiner = if engine.scenario().auth == AuthMode::Pki {
@@ -364,20 +326,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_catalogued_attack_constructs() {
-        let effort = Effort::quick();
-        for a in platoon_attacks::registry::catalog() {
-            if a.name == "sensor-spoof" {
-                // registry row maps to two modules; both construct.
-                let _ = make_attack("sensor-spoof", effort);
-                let _ = make_attack("gps-spoof", effort);
-            } else {
-                let _ = make_attack(a.name, effort);
-            }
-        }
-    }
-
-    #[test]
     fn every_mechanism_applies() {
         for m in platoon_defense::registry::catalog() {
             let (b, modules) = apply_mechanism(m.name, base_scenario("t", Effort::quick()));
@@ -389,14 +337,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown attack")]
     fn unknown_attack_panics() {
-        make_attack("wormhole", Effort::quick());
+        arm_params("wormhole");
     }
 
     #[test]
-    fn run_arm_produces_finite_impact() {
-        let effort = Effort::quick();
-        let (engine, summary) = run_arm("jamming", None, effort);
-        let impact = impact_of("jamming", &engine, &summary);
+    fn arm_outcome_produces_finite_impact() {
+        let impact = arm_outcome("jamming", None, Effort::quick(), EXPERIMENT_BASE_SEED).impact;
         assert!(impact.is_finite());
         assert!(impact > 0.3, "jamming should cost beacons: {impact}");
     }

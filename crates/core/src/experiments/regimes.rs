@@ -24,15 +24,15 @@
 //! run and an interrupted-snapshot-restored-resumed run of the same arm to
 //! canonical documents that must be byte-identical.
 
-use super::common::{base_scenario, make_attack, Effort, EXPERIMENT_BASE_SEED};
-use super::table4::{profile_for, truth_for};
+use super::common::{arm_params, arm_truth, base_scenario, Effort, EXPERIMENT_BASE_SEED};
+use super::table4::profile_for;
 use platoon_detect::checks::KinematicLimits;
 use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_detect::kinematic::KinematicConfig;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_dynamics::profiles::SpeedProfile;
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
-use platoon_sim::harness::{golden, json, write_run_summary, Batch};
+use platoon_sim::harness::{golden, json, write_detection_summary, write_run_summary, Batch};
 use platoon_sim::prelude::{
     score_alerts, steps_for, DetectionSummary, Engine, RegimePhase, RegimePlan, RunSummary,
     TruthLabels,
@@ -210,6 +210,7 @@ fn phase_scores(
 /// Harness job body: one (profile, attack) run over the canonical regime
 /// plan, scored whole-run and per-phase.
 pub fn regime_arm(profile: &str, attack: &str, effort: Effort, seed: u64) -> RegimeRow {
+    let params = arm_params(attack);
     let plan = plan_for(effort);
     let label = format!("regime/{profile}/{attack}");
     let mut engine = Engine::new(
@@ -218,12 +219,12 @@ pub fn regime_arm(profile: &str, attack: &str, effort: Effort, seed: u64) -> Reg
             .regimes(plan.clone())
             .build(),
     );
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
+    if let Some(p) = &params {
+        engine.add_attack(p.build(effort.duration));
     }
     engine.attach_detector_config(profile_for(profile));
     engine.run();
-    let truth = truth_for(attack, effort, &engine);
+    let truth = arm_truth(params.as_ref(), effort, &engine);
     let detection = score_alerts(engine.alerts(), &truth);
     let phases = phase_scores(engine.alerts(), &truth, &plan, engine.scenario().comm_step);
     RegimeRow {
@@ -274,15 +275,7 @@ pub fn run(quick: bool) -> RegimeReport {
 pub fn write_row(w: &mut json::Writer, row: &RegimeRow) {
     w.field_str("profile", &row.profile);
     w.field_str("attack", &row.attack);
-    w.field_obj("detection", |w| {
-        let d = &row.detection;
-        w.field_u64("alerts", d.alerts as u64);
-        w.field_u64("true_positives", d.true_positives as u64);
-        w.field_u64("false_positives", d.false_positives as u64);
-        w.field_bool("detected", d.detected);
-        w.field_f64("first_detection_latency", d.first_detection_latency);
-        w.field_f64("attribution_accuracy", d.attribution_accuracy);
-    });
+    w.field_obj("detection", |w| write_detection_summary(w, &row.detection));
     w.field_arr("phases", |w| {
         for p in &row.phases {
             w.elem(|w| {
@@ -351,7 +344,8 @@ pub fn resume_check(quick: bool, seed: u64) -> (String, String) {
                 .regimes(plan_for(effort))
                 .build(),
         );
-        engine.add_attack(make_attack("insider-fdi", effort));
+        let insider = arm_params("insider-fdi").expect("an attack arm");
+        engine.add_attack(insider.build(effort.duration));
         engine.attach_detector_config(profile_for("regime-aware"));
         engine.attach_tracer(TraceRecorder::new());
         engine

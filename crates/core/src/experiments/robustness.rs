@@ -17,8 +17,8 @@
 //! canonical document instead of taking the batch down, and every other
 //! cell still reports.
 
-use super::common::{base_scenario, make_attack, Effort, EXPERIMENT_BASE_SEED};
-use super::table4::{profile_for, truth_for};
+use super::common::{arm_params, arm_truth, base_scenario, Effort, EXPERIMENT_BASE_SEED};
+use super::table4::{self, profile_for};
 use crate::tables::{num, TextTable};
 use platoon_faults::{
     BurstPacketLoss, ClockSkew, FaultWindow, NoiseFloorRamp, RsuBlackout, SensorOutage,
@@ -84,6 +84,7 @@ pub struct RobustnessCell {
 
 /// Harness job body: one (fault, attack, seed) run with detectors attached.
 pub fn robustness_arm(fault: &str, attack: &str, effort: Effort, seed: u64) -> RobustnessCell {
+    let params = arm_params(attack);
     let label = format!("{fault}/{attack}");
     let mut builder = base_scenario(&label, effort).seed(seed);
     if fault == "rsu-blackout" {
@@ -92,12 +93,12 @@ pub fn robustness_arm(fault: &str, attack: &str, effort: Effort, seed: u64) -> R
     }
     let mut engine = Engine::new(builder.build());
     engine.add_fault(make_fault(fault, effort));
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
+    if let Some(p) = &params {
+        engine.add_attack(p.build(effort.duration));
     }
     engine.attach_detector_config(profile_for("default"));
     let summary = engine.run();
-    let truth = truth_for(attack, effort, &engine);
+    let truth = arm_truth(params.as_ref(), effort, &engine);
     RobustnessCell {
         detection: score_alerts(engine.alerts(), &truth),
         summary,
@@ -134,42 +135,23 @@ pub struct RobustnessRow {
     pub collisions: u64,
 }
 
+/// The detection columns come from [`table4::aggregate`], so a robustness
+/// row and a Table IV row over the same runs agree bit for bit.
 fn aggregate(fault: &str, attack: &str, per_arm: u64, cells: &[RobustnessCell]) -> RobustnessRow {
     let runs = cells.len() as u64;
-    let detected = cells.iter().filter(|c| c.detection.detected).count();
-    let median_latency_s = if cells.is_empty() {
-        f64::NAN
-    } else {
-        let mut latencies: Vec<f64> = cells
-            .iter()
-            .map(|c| c.detection.first_detection_latency)
-            .collect();
-        latencies.sort_by(f64::total_cmp);
-        latencies[latencies.len() / 2]
-    };
-    let attributed: Vec<f64> = cells
-        .iter()
-        .map(|c| c.detection.attribution_accuracy)
-        .filter(|a| !a.is_nan())
-        .collect();
+    let detections: Vec<DetectionSummary> = cells.iter().map(|c| c.detection.clone()).collect();
+    let detection = table4::aggregate(attack, "default", &detections);
     RobustnessRow {
         fault: fault.to_string(),
         attack: attack.to_string(),
         runs,
         failed_runs: per_arm - runs,
-        // All means run through `per_frame_ratio`: when a crash-isolated arm
-        // loses every run the denominator is genuinely zero, and the row
-        // must carry the canonical "nan" rather than a platform NaN or ∞.
-        detection_rate: per_frame_ratio(detected as f64, runs),
-        median_latency_s,
-        false_positives_per_run: per_frame_ratio(
-            cells
-                .iter()
-                .map(|c| c.detection.false_positives as f64)
-                .sum(),
-            runs,
-        ),
-        attribution_accuracy: per_frame_ratio(attributed.iter().sum(), attributed.len() as u64),
+        detection_rate: detection.detection_rate,
+        median_latency_s: detection.median_latency_s,
+        false_positives_per_run: detection.false_positives_per_run,
+        attribution_accuracy: detection.attribution_accuracy,
+        // A crash-isolated arm can lose every run: `per_frame_ratio` then
+        // gives the canonical "nan", as the detection columns do.
         mean_min_gap: per_frame_ratio(cells.iter().map(|c| c.summary.min_gap).sum(), runs),
         collisions: cells.iter().map(|c| c.summary.collisions as u64).sum(),
     }

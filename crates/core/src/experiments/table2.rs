@@ -7,7 +7,7 @@
 //! numbers.
 
 use super::common::{
-    arm_outcome, impact_of, impact_unit, ArmOutcome, Effort, EXPERIMENT_BASE_SEED,
+    arm_outcome, build_arm, impact_of, impact_unit, ArmOutcome, Effort, EXPERIMENT_BASE_SEED,
 };
 use crate::tables::{num, TextTable};
 use platoon_sim::harness::{json, Batch};
@@ -78,17 +78,8 @@ pub fn run(quick: bool) -> Vec<Table2Row> {
 /// joiner so the latency metric stays comparable). Public so the job
 /// service can execute Table II cells by name.
 pub fn baseline_outcome(attack: &str, effort: Effort, seed: u64) -> ArmOutcome {
-    use super::common::{base_scenario, brake_profile, legit_joiner};
-    use platoon_sim::prelude::Engine;
-
-    let mut builder = base_scenario(&format!("{attack}/baseline"), effort).seed(seed);
-    if matches!(attack, "replay" | "insider-fdi") {
-        builder = builder.profile(brake_profile());
-    }
-    let mut engine = Engine::new(builder.build());
-    if attack == "dos-join-flood" {
-        engine.add_attack(Box::new(legit_joiner(effort.duration * 0.25)));
-    }
+    let label = format!("{attack}/baseline");
+    let mut engine = build_arm(&label, attack, None, None, effort, seed);
     let summary = engine.run();
     // The baseline for confidentiality is "the eavesdropper exists but the
     // platoon encrypts": measured in F7; here the clean baseline is simply

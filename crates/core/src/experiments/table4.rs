@@ -8,10 +8,11 @@
 //! reliably — and how *fast* — does each catalogued attack get caught, and
 //! who gets blamed?
 //!
-//! Every arm runs the canonical platoon with the [`platoon_detect`]
-//! pipeline attached, labels the run with ground truth
-//! ([`TruthLabels`]), and scores the alert stream
-//! ([`platoon_sim::metrics::score_alerts`]). Rows aggregate a few seeds per
+//! Every arm is built by [`build_arm`] and runs with the
+//! [`platoon_detect`] pipeline attached. It is labelled with ground truth
+//! from [`AttackParams::truth`](platoon_attacks::params::AttackParams::truth)
+//! (through [`arm_truth`]), and its alert stream is scored with
+//! [`score_alerts`]. Rows aggregate a few seeds per
 //! (attack × detector-config) cell plus a benign arm per config whose only
 //! job is to expose the false-positive floor.
 //!
@@ -20,14 +21,11 @@
 //! plausibility pipeline (rate 0, latency ∞) — exactly the blind spots
 //! Table III's cryptographic rows exist to close.
 
-use super::common::{
-    base_scenario, brake_profile, legit_joiner, make_attack, Effort, EXPERIMENT_BASE_SEED,
-};
+use super::common::{arm_params, arm_truth, build_arm, Effort, EXPERIMENT_BASE_SEED};
 use crate::tables::{num, TextTable};
-use platoon_crypto::cert::PrincipalId;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_sim::harness::{json, Batch};
-use platoon_sim::prelude::{score_alerts, DetectionSummary, Engine, TruthLabels};
+use platoon_sim::prelude::{per_frame_ratio, score_alerts, DetectionSummary};
 
 /// Detector configurations swept by the experiment.
 pub const CONFIGS: [&str; 2] = ["default", "strict"];
@@ -36,9 +34,10 @@ pub const CONFIGS: [&str; 2] = ["default", "strict"];
 pub const SEEDS_PER_ARM: u64 = 3;
 
 /// The pipeline configuration for a named detector profile. Attach it via
-/// [`Engine::attach_detector_config`] so scenario-dependent tuning (the
-/// frequency detector's nominal beacon rate) is resolved against the
-/// scenario rather than left at the 10 Hz default.
+/// [`Engine::attach_detector_config`](platoon_sim::engine::Engine::attach_detector_config)
+/// so scenario-dependent tuning (the frequency detector's nominal beacon
+/// rate) is resolved against the scenario rather than left at the 10 Hz
+/// default.
 pub fn profile_for(config: &str) -> PipelineConfig {
     match config {
         "default" => PipelineConfig::default_profile(),
@@ -51,80 +50,15 @@ pub fn profile_for(config: &str) -> PipelineConfig {
     }
 }
 
-/// Ground-truth labels for one arm, derived from the attack's canonical
-/// configuration in [`make_attack`] (timings, victim/insider indices, ghost
-/// id ranges) plus post-run engine state where the guilty set is dynamic
-/// (malware infection).
-pub fn truth_for(attack: &str, effort: Effort, engine: &Engine) -> TruthLabels {
-    let start = effort.duration * 0.2;
-    let mut truth = TruthLabels {
-        attack: attack.to_string(),
-        start,
-        channel_attack: false,
-        guilty: Vec::new(),
-        guilty_from: None,
-    };
-    match attack {
-        "benign" => truth = TruthLabels::benign("benign"),
-        // Passive listener: nothing on the air to flag. Any alert is false.
-        "eavesdrop" => {}
-        // One forged manoeuvre frame under the leader's identity.
-        "fake-maneuver" => truth.guilty = vec![engine.world().vehicles[0].principal],
-        "replay" => {
-            // The replayed frames are verbatim member traffic; alerts name
-            // the replayed identities, so every member is a valid blame
-            // target once the replays start.
-            truth.guilty = engine
-                .world()
-                .vehicles
-                .iter()
-                .map(|v| v.principal)
-                .collect();
-        }
-        "sybil" => truth.guilty_from = Some(7_000),
-        "jamming" => truth.channel_attack = true,
-        "dos-join-flood" => {
-            truth.start = start * 0.5;
-            truth.channel_attack = true;
-            truth.guilty_from = Some(8_000);
-        }
-        "impersonation" => truth.guilty = vec![PrincipalId(1)],
-        "sensor-spoof" => truth.guilty = vec![engine.world().vehicles[2].principal],
-        "insider-fdi" => truth.guilty = vec![PrincipalId(2)],
-        "malware" => {
-            truth.start = start * 0.5;
-            truth.guilty = engine
-                .world()
-                .vehicles
-                .iter()
-                .filter(|v| v.infected)
-                .map(|v| v.principal)
-                .collect();
-        }
-        other => panic!("unknown attack {other}"),
-    }
-    truth
-}
-
-/// Harness job body: one (attack, config, seed) detection run.
+/// Harness job body: one (attack, config, seed) detection run, scored
+/// against [`arm_truth`].
 pub fn detection_arm(attack: &str, config: &str, effort: Effort, seed: u64) -> DetectionSummary {
+    let params = arm_params(attack);
     let label = format!("{attack}/{config}");
-    let mut builder = base_scenario(&label, effort).seed(seed);
-    if matches!(attack, "replay" | "insider-fdi") {
-        builder = builder.profile(brake_profile());
-    }
-    let mut engine = Engine::new(builder.build());
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
-    }
-    if attack == "dos-join-flood" {
-        // The honest joiner rides along (as in T2/T3) — its join request
-        // must not be blamed for the flood.
-        engine.add_attack(Box::new(legit_joiner(effort.duration * 0.25)));
-    }
+    let mut engine = build_arm(&label, attack, params.as_ref(), None, effort, seed);
     engine.attach_detector_config(profile_for(config));
     engine.run();
-    let truth = truth_for(attack, effort, &engine);
+    let truth = arm_truth(params.as_ref(), effort, &engine);
     score_alerts(engine.alerts(), &truth)
 }
 
@@ -153,35 +87,38 @@ pub struct Table4Row {
 }
 
 /// Aggregates one (attack, config) cell's per-seed summaries into a row.
-/// Public so the dataset experiment can score its learned detector with
-/// the identical aggregation.
+/// Public so the dataset experiment scores its learned detector, and the
+/// robustness experiment its faulted cells, with the identical
+/// aggregation.
+///
+/// Every mean runs through [`per_frame_ratio`]: a crash-isolated cell can
+/// lose every seed, and its columns must then carry the canonical "nan"
+/// rather than a platform NaN.
 pub fn aggregate(attack: &str, config: &str, cells: &[DetectionSummary]) -> Table4Row {
-    let runs = cells.len();
+    let runs = cells.len() as u64;
     let detected = cells.iter().filter(|c| c.detected).count();
     let mut latencies: Vec<f64> = cells.iter().map(|c| c.first_detection_latency).collect();
     latencies.sort_by(f64::total_cmp);
-    let median_latency_s = latencies[runs / 2];
+    let median_latency_s = latencies
+        .get(latencies.len() / 2)
+        .copied()
+        .unwrap_or(f64::NAN);
     let mean =
-        |f: &dyn Fn(&DetectionSummary) -> f64| cells.iter().map(f).sum::<f64>() / runs as f64;
+        |f: &dyn Fn(&DetectionSummary) -> f64| per_frame_ratio(cells.iter().map(f).sum(), runs);
     let attributed: Vec<f64> = cells
         .iter()
         .map(|c| c.attribution_accuracy)
         .filter(|a| !a.is_nan())
         .collect();
-    let attribution_accuracy = if attributed.is_empty() {
-        f64::NAN
-    } else {
-        attributed.iter().sum::<f64>() / attributed.len() as f64
-    };
     Table4Row {
         attack: attack.to_string(),
         config: config.to_string(),
-        runs: runs as u64,
-        detection_rate: detected as f64 / runs as f64,
+        runs,
+        detection_rate: per_frame_ratio(detected as f64, runs),
         median_latency_s,
         false_positives_per_run: mean(&|c| c.false_positives as f64),
         alerts_per_run: mean(&|c| c.alerts as f64),
-        attribution_accuracy,
+        attribution_accuracy: per_frame_ratio(attributed.iter().sum(), attributed.len() as u64),
     }
 }
 

@@ -12,7 +12,7 @@
 //! mismatch, a nondeterminism regression) into a one-command answer:
 //! the first differing tick and phase.
 
-use super::common::{base_scenario, make_attack, Effort, EXPERIMENT_BASE_SEED};
+use super::common::{arm_params, base_scenario, Effort, EXPERIMENT_BASE_SEED};
 use super::robustness::make_fault;
 use super::table4::profile_for;
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
@@ -53,11 +53,12 @@ pub fn traced_arm(attack: &str, effort: Effort, seed: u64) -> TraceRun {
 /// platoon under [`FAULT`] plus `attack` (or none for `"benign"`), the
 /// default detector pipeline and a [`TraceRecorder`] attached.
 pub fn traced_engine(attack: &str, effort: Effort, seed: u64) -> Engine {
+    let params = arm_params(attack);
     let label = format!("trace/{attack}");
     let mut engine = Engine::new(base_scenario(&label, effort).seed(seed).build());
     engine.add_fault(make_fault(FAULT, effort));
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
+    if let Some(p) = params {
+        engine.add_attack(p.build(effort.duration));
     }
     engine.attach_detector_config(profile_for("default"));
     engine.attach_tracer(TraceRecorder::new());

@@ -1,10 +1,11 @@
 //! The export grid and the learned-vs-rule-based comparison.
 //!
-//! One export cell = one (attack arm × seed) simulation run with a
-//! passive [`ObservationSink`] tap: every accepted beacon is rendered
-//! into the shared feature vector ([`platoon_detect::features`]) in
-//! arrival order, then labeled post-run from the arm's
-//! [`TruthLabels`](platoon_sim::metrics::TruthLabels) — a row is
+//! One export cell = one (attack arm × seed) simulation run of the
+//! Table IV arm ([`build_arm`]) with a passive [`ObservationSink`] tap:
+//! every accepted beacon is rendered into the shared feature vector
+//! ([`platoon_detect::features`]) in arrival order, then labeled post-run
+//! from the arm's [`TruthLabels`](platoon_sim::metrics::TruthLabels)
+//! ([`arm_truth`], the same truth Table IV scores against) — a row is
 //! malicious iff its reception time is at or
 //! after `truth.start` *and* its claimed sender is guilty (explicit
 //! guilty set or the `guilty_from` identity floor). Channel-level attacks
@@ -25,7 +26,7 @@
 
 use crate::columnar::{CellBlock, Shard};
 use platoon_core::experiments::common::{
-    base_scenario, brake_profile, legit_joiner, make_attack, Effort, EXPERIMENT_BASE_SEED,
+    arm_params, arm_truth, build_arm, Effort, EXPERIMENT_BASE_SEED,
 };
 use platoon_core::experiments::table4;
 use platoon_crypto::cert::PrincipalId;
@@ -37,7 +38,7 @@ use platoon_detect::observation::MessageObservation;
 use platoon_detect::pipeline::Pipeline;
 use platoon_sim::engine::ObservationSink;
 use platoon_sim::harness::Batch;
-use platoon_sim::prelude::{score_alerts, DetectionSummary, Engine};
+use platoon_sim::prelude::{score_alerts, DetectionSummary};
 
 /// Export seeds per attack arm (half train, half test).
 pub fn seeds_per_cell(quick: bool) -> u64 {
@@ -85,31 +86,14 @@ impl ObservationSink for BeaconRecorder {
     }
 }
 
-/// Builds the canonical engine for one arm — the same construction the
-/// Table IV arms use (brake profile for replay/insider arms, the honest
-/// joiner alongside the join flood).
-fn engine_for(attack: &str, suffix: &str, effort: Effort, seed: u64) -> Engine {
-    let label = format!("{attack}/{suffix}");
-    let mut builder = base_scenario(&label, effort).seed(seed);
-    if matches!(attack, "replay" | "insider-fdi") {
-        builder = builder.profile(brake_profile());
-    }
-    let mut engine = Engine::new(builder.build());
-    if attack != "benign" {
-        engine.add_attack(make_attack(attack, effort));
-    }
-    if attack == "dos-join-flood" {
-        engine.add_attack(Box::new(legit_joiner(effort.duration * 0.25)));
-    }
-    engine
-}
-
 /// Harness job body: one export cell — run, tap, label.
 pub fn export_cell(attack: &str, effort: Effort, seed: u64, label: &str) -> CellBlock {
-    let mut engine = engine_for(attack, "dataset", effort, seed);
+    let params = arm_params(attack);
+    let arm_label = format!("{attack}/dataset");
+    let mut engine = build_arm(&arm_label, attack, params.as_ref(), None, effort, seed);
     engine.attach_observation_sink(Box::new(BeaconRecorder::default()));
     engine.run();
-    let truth = table4::truth_for(attack, effort, &engine);
+    let truth = arm_truth(params.as_ref(), effort, &engine);
     let sink = engine.take_observation_sink().expect("sink attached");
     let recorder = sink
         .as_any()
@@ -150,7 +134,9 @@ pub fn learned_arm(
     seed: u64,
     model: LogisticModel,
 ) -> DetectionSummary {
-    let mut engine = engine_for(attack, "learned", effort, seed);
+    let params = arm_params(attack);
+    let label = format!("{attack}/learned");
+    let mut engine = build_arm(&label, attack, params.as_ref(), None, effort, seed);
     let detector: Box<dyn Detector> =
         Box::new(LearnedDetector::new(model, LearnedConfig::default()));
     engine.attach_detectors(Pipeline::with_detectors(
@@ -158,7 +144,7 @@ pub fn learned_arm(
         FusionConfig::default(),
     ));
     engine.run();
-    let truth = table4::truth_for(attack, effort, &engine);
+    let truth = arm_truth(params.as_ref(), effort, &engine);
     score_alerts(engine.alerts(), &truth)
 }
 
@@ -370,10 +356,18 @@ mod tests {
         // Re-derive the ground truth independently and check every row:
         // positives are exactly the guilty sender's beacons at or after
         // the attack start.
-        let mut engine = engine_for("insider-fdi", "dataset", effort, seed);
+        let params = arm_params("insider-fdi");
+        let mut engine = build_arm(
+            "insider-fdi/dataset",
+            "insider-fdi",
+            params.as_ref(),
+            None,
+            effort,
+            seed,
+        );
         engine.attach_observation_sink(Box::new(BeaconRecorder::default()));
         engine.run();
-        let truth = table4::truth_for("insider-fdi", effort, &engine);
+        let truth = arm_truth(params.as_ref(), effort, &engine);
         let sink = engine.take_observation_sink().unwrap();
         let recorder = sink.as_any().downcast_ref::<BeaconRecorder>().unwrap();
         assert_eq!(recorder.meta.len(), cell.labels.len());

@@ -16,8 +16,7 @@
 use platoon_attacks::prelude::AttackParams;
 use platoon_core::experiments::common::Effort;
 use platoon_sim::harness::json::{self, Value};
-use platoon_sim::harness::{fnv1a, write_run_summary};
-use platoon_sim::prelude::DetectionSummary;
+use platoon_sim::harness::{fnv1a, write_detection_summary, write_run_summary};
 
 /// The version string folded into every cache key. Bump the crate version
 /// (or change this scheme) and every previously cached result misses —
@@ -419,7 +418,7 @@ impl JobSpec {
                 w.obj(|w| {
                     w.field_str("label", &self.label());
                     w.field_str("seed", &seed.to_string());
-                    w.field_obj("detection", |w| write_detection(w, &d));
+                    w.field_obj("detection", |w| write_detection_summary(w, &d));
                 });
             }
             JobSpec::Robustness {
@@ -432,7 +431,7 @@ impl JobSpec {
                 w.obj(|w| {
                     w.field_str("label", &self.label());
                     w.field_str("seed", &seed.to_string());
-                    w.field_obj("detection", |w| write_detection(w, &cell.detection));
+                    w.field_obj("detection", |w| write_detection_summary(w, &cell.detection));
                     w.field_obj("summary", |w| write_run_summary(w, &cell.summary));
                 });
             }
@@ -536,17 +535,6 @@ pub fn cache_key(spec: &JobSpec) -> u64 {
         w.field_raw("spec", &spec.to_canonical_json());
     });
     fnv1a(w.finish().as_bytes())
-}
-
-/// Canonical rendering of a [`DetectionSummary`] (shared by the detection
-/// and robustness result documents).
-fn write_detection(w: &mut json::Writer, d: &DetectionSummary) {
-    w.field_u64("alerts", d.alerts as u64);
-    w.field_u64("true_positives", d.true_positives as u64);
-    w.field_u64("false_positives", d.false_positives as u64);
-    w.field_bool("detected", d.detected);
-    w.field_f64("first_detection_latency", d.first_detection_latency);
-    w.field_f64("attribution_accuracy", d.attribution_accuracy);
 }
 
 fn str_field(v: &Value, key: &str) -> Result<String, String> {

@@ -23,7 +23,7 @@
 //!   serialization is explicit and therefore stable by construction).
 
 use crate::exec;
-use crate::metrics::RunSummary;
+use crate::metrics::{DetectionSummary, RunSummary};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
 use std::time::Duration;
@@ -431,6 +431,18 @@ pub fn write_run_summary(w: &mut json::Writer, s: &RunSummary) {
     if let Some(trace) = &s.trace {
         w.field_obj("trace", |w| trace.write_canonical(w));
     }
+}
+
+/// Canonical field-by-field rendering of a [`DetectionSummary`], shared by
+/// the job service's detection and robustness documents and the regime
+/// rows.
+pub fn write_detection_summary(w: &mut json::Writer, d: &DetectionSummary) {
+    w.field_u64("alerts", d.alerts as u64);
+    w.field_u64("true_positives", d.true_positives as u64);
+    w.field_u64("false_positives", d.false_positives as u64);
+    w.field_bool("detected", d.detected);
+    w.field_f64("first_detection_latency", d.first_detection_latency);
+    w.field_f64("attribution_accuracy", d.attribution_accuracy);
 }
 
 pub mod json {

@@ -4,7 +4,9 @@
 //! run. Scenario fuzzing and divergence bisection both start from such a
 //! snapshot, so an arm that refuses one cannot be explored that way.
 
-use platoon_core::experiments::common::{build_arm, impact_of, Effort, EXPERIMENT_BASE_SEED};
+use platoon_core::experiments::common::{
+    arm_params, build_arm, impact_of, Effort, EXPERIMENT_BASE_SEED,
+};
 use platoon_core::experiments::table3::{distinct_attacks, pairs};
 use platoon_sim::harness::{json, write_run_summary};
 use platoon_sim::prelude::{steps_for, RunSummary};
@@ -33,7 +35,17 @@ fn every_table_arm_resumes_exactly_from_a_snapshot() {
     for (attack, mechanism) in &arms {
         let mechanism = mechanism.as_deref();
         let label = format!("{attack}/{}", mechanism.unwrap_or("undefended"));
-        let build = || build_arm(attack, mechanism, effort, EXPERIMENT_BASE_SEED);
+        let params = arm_params(attack);
+        let build = || {
+            build_arm(
+                &label,
+                attack,
+                params.as_ref(),
+                mechanism,
+                effort,
+                EXPERIMENT_BASE_SEED,
+            )
+        };
 
         let mut straight = build();
         let straight_summary = straight.run();

@@ -5,7 +5,7 @@
 //! samples than the all-pairs scan would take, and the world's O(1)
 //! lookup maps stay consistent through joins and splits.
 
-use platoon_core::experiments::common::{make_attack, Effort};
+use platoon_core::experiments::common::{arm_params, Effort};
 use platoon_core::experiments::corridor::{
     corridor_arm, corridor_scenario, CORRIDOR_BASE_SEED, CORRIDOR_HORIZON_M,
 };
@@ -61,7 +61,8 @@ fn attacked_run(horizon: f64) -> (platoon_sim::prelude::RunSummary, u64) {
         .radio_horizon(horizon)
         .build();
     let mut engine = Engine::new(scenario);
-    engine.add_attack(make_attack("sybil", effort));
+    let sybil = arm_params("sybil").expect("an attack arm");
+    engine.add_attack(sybil.build(effort.duration));
     engine.attach_detector_config(PipelineConfig::default_profile());
     let summary = engine.run();
     (summary, engine.medium_pairs_considered())

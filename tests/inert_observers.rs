@@ -4,7 +4,7 @@
 //! experiment's arm (with a pipeline), a DoS arm and a small corridor
 //! (both without one).
 
-use platoon_core::experiments::common::{build_arm, Effort, EXPERIMENT_BASE_SEED};
+use platoon_core::experiments::common::{arm_params, build_arm, Effort, EXPERIMENT_BASE_SEED};
 use platoon_core::experiments::corridor::{
     corridor_engine, drive_corridor, CORRIDOR_BASE_SEED, CORRIDOR_HORIZON_M,
 };
@@ -86,7 +86,17 @@ fn trace_recorders_and_observation_sinks_are_inert() {
     );
     assert_observers_are_inert(
         "dos-join-flood/keys",
-        || build_arm("dos-join-flood", Some("keys"), effort, 9),
+        || {
+            let flood = arm_params("dos-join-flood");
+            build_arm(
+                "dos-join-flood/keys",
+                "dos-join-flood",
+                flood.as_ref(),
+                Some("keys"),
+                effort,
+                9,
+            )
+        },
         Engine::run,
     );
     assert_observers_are_inert(
