@@ -53,7 +53,7 @@ use platoon_proto::envelope::Envelope;
 use platoon_proto::maneuver::{JoinOutcome, ManeuverEngine};
 use platoon_proto::membership::Roster;
 use platoon_proto::messages::{Beacon, PlatoonId, PlatoonMessage, Role};
-use platoon_v2x::hash::{FxHashMap, FxHashSet};
+use platoon_v2x::hash::FxHashMap;
 use platoon_v2x::medium::Receiver;
 use platoon_v2x::message::{ChannelKind, Delivery, Frame, NodeId, Payload, Position};
 use platoon_v2x::spatial::SpatialGrid;
@@ -71,8 +71,8 @@ const JOIN_ARRIVAL_TOLERANCE: f64 = 30.0;
 ///
 /// The engine's hot loop builds the same transient collections every
 /// communication step (outgoing frames, the receiver roster, detector
-/// observation batches, dedup sets, the command vector). Allocating them
-/// once and clearing them per tick keeps the steady-state step free of
+/// observation batches, the dedup record, the command vector). Allocating
+/// them once and clearing them per tick keeps the steady-state step free of
 /// heap churn; each buffer is `mem::take`n for the duration of the phase
 /// that fills it, so the split borrows stay trivial.
 #[derive(Debug, Default)]
@@ -92,25 +92,21 @@ struct StepScratch {
     observers: Vec<usize>,
     /// Controller commands.
     commands: Vec<f64>,
-    /// PDR dedup: (sender, receiver) pairs already counted this step.
-    seen_pairs: FxHashSet<(NodeId, NodeId)>,
-    /// Protocol dedup: (receiver, payload hash) already applied this step.
-    seen_payloads: FxHashSet<(usize, u64)>,
-    /// Protocol dedup: each distinct payload's hash, this step.
-    digests: PayloadDigests,
+    /// Protocol dedup: which receivers applied which payload, this step.
+    dedup: RoundDedup,
     /// Beacon sealing staging: (vehicle index, message, sealed nonce).
     seal_jobs: Vec<(usize, PlatoonMessage, u64)>,
 }
 
 /// The protocol-dedup hash of each distinct payload in one delivery round.
 ///
-/// Every delivery of a frame, its hybrid copy and its VLC relays share one
-/// `Arc` allocation, so the SHA-256 runs once per allocation instead of
-/// once per delivery. The address (data pointer and length) is only the
-/// memo key: the dedup set still compares hash values, so two allocations
-/// holding equal bytes still merge. An address identifies bytes only while
-/// its allocation lives, so the memo is cleared at the start of every round
-/// and fed only payloads of that round's deliveries, which outlive it.
+/// A frame, its hybrid copy and its VLC relays share one `Arc` allocation,
+/// so the SHA-256 runs once per allocation instead of once per frame. The
+/// address (data pointer and length) is only the memo key: dedup still
+/// compares hash values, so two allocations holding equal bytes still
+/// merge. An address identifies bytes only while its allocation lives, so
+/// the memo is cleared at the start of every round and fed only payloads of
+/// that round's deliveries, which outlive it.
 #[derive(Debug, Default)]
 struct PayloadDigests(FxHashMap<(usize, usize), u64>);
 
@@ -126,6 +122,80 @@ impl PayloadDigests {
             .0
             .entry((payload.as_ptr() as usize, payload.len()))
             .or_insert_with(|| Sha256::digest(payload).to_u64())
+    }
+}
+
+/// Protocol dedup for one frame-major delivery round: a receiver applies
+/// each payload once per round, however many frames carry it (the hybrid
+/// copy, VLC relays, re-sent bytes).
+///
+/// A frame never reaches the same receiver twice, so a receiver is checked
+/// only against the earlier frames of the round whose payload has the same
+/// SHA-256 dedup key. Each frame that applied anything keeps its receivers
+/// as one run of `applied` and links to the previous frame with the same
+/// key, so the round allocates nothing per frame once its buffers are warm.
+#[derive(Debug, Default)]
+struct RoundDedup {
+    /// Each distinct payload allocation's dedup key.
+    digests: PayloadDigests,
+    /// Dedup key → the latest entry of `frames` carrying it.
+    latest: FxHashMap<u64, usize>,
+    /// The frames that applied at least one delivery, in delivery order.
+    frames: Vec<AppliedFrame>,
+    /// Receivers (vehicle indices) that applied each frame, frame by frame.
+    applied: Vec<u32>,
+    /// Whether the current frame has an entry in `frames` yet.
+    open: bool,
+}
+
+/// One frame's run of receivers in [`RoundDedup::applied`]. The run ends
+/// where the next frame's starts.
+#[derive(Debug)]
+struct AppliedFrame {
+    start: usize,
+    /// The previous entry of `frames` with the same dedup key.
+    prev: Option<usize>,
+}
+
+impl RoundDedup {
+    fn clear(&mut self) {
+        self.digests.clear();
+        self.latest.clear();
+        self.frames.clear();
+        self.applied.clear();
+        self.open = false;
+    }
+
+    /// Moves on to the next frame of the round.
+    fn next_frame(&mut self) {
+        self.open = false;
+    }
+
+    /// Whether receiver `rx` applies `payload`, the current frame's bytes:
+    /// false when `rx` already applied an earlier frame with the same dedup
+    /// key this round. The current frame's first call probes the digest
+    /// memo, so a frame no receiver accepts is never hashed.
+    fn admit(&mut self, rx: usize, payload: &Payload) -> bool {
+        if !self.open {
+            let key = self.digests.digest(payload);
+            let prev = self.latest.insert(key, self.frames.len());
+            self.frames.push(AppliedFrame {
+                start: self.applied.len(),
+                prev,
+            });
+            self.open = true;
+        }
+        let rx = u32::try_from(rx).expect("vehicle indices fit in u32");
+        let mut earlier = self.frames.last().and_then(|f| f.prev);
+        while let Some(k) = earlier {
+            let run = self.frames[k].start..self.frames[k + 1].start;
+            if self.applied[run].contains(&rx) {
+                return false;
+            }
+            earlier = self.frames[k].prev;
+        }
+        self.applied.push(rx);
+        true
     }
 }
 
@@ -268,6 +338,10 @@ pub struct Engine {
     /// Cumulative RF (frame, receiver) pairs the medium sampled — the
     /// deterministic work metric the spatial index reduces.
     medium_pairs: u64,
+    /// Radio nodes of `vehicles[0]` and `vehicles[n - 1]`, the link
+    /// [`RunSummary::leader_tail_pdr`] reports. Only [`Engine::new`] adds
+    /// vehicles, so the pair is fixed when the engine is built.
+    leader_tail: (NodeId, NodeId),
 }
 
 impl Engine {
@@ -348,12 +422,16 @@ impl Engine {
             });
         }
 
+        // RSU node ids start at 10,000, or after the last vehicle's in a
+        // larger world: the delivery round relies on every receiver id
+        // being distinct, so that a frame reaches each node at most once.
+        let first_rsu = 10_000.max(n) as u64;
         let rsus = scenario
             .rsu_positions
             .iter()
             .enumerate()
             .map(|(i, &position)| Rsu {
-                node: NodeId(10_000 + i as u64),
+                node: NodeId(first_rsu + i as u64),
                 position,
                 compromised: false,
             })
@@ -369,6 +447,7 @@ impl Engine {
         }
         let maneuvers = ManeuverEngine::new(roster, scenario.maneuvers);
         let metrics = MetricsCollector::new(n, scenario.comm_step);
+        let leader_tail = (vehicles[0].node, vehicles[n - 1].node);
         let rng = StdRng::seed_from_u64(scenario.seed);
         let medium = scenario.medium;
 
@@ -395,6 +474,7 @@ impl Engine {
             regime: RegimeState::default(),
             threads: 1,
             medium_pairs: 0,
+            leader_tail,
             service_was_down: vec![false; n],
             scratch: StepScratch::default(),
             perf: PerfCounters::default(),
@@ -884,6 +964,7 @@ impl Engine {
             tracer: self.tracer.clone(),
             threads: self.threads,
             medium_pairs: self.medium_pairs,
+            leader_tail: self.leader_tail,
         })
     }
 
@@ -989,12 +1070,8 @@ impl Engine {
         let mut frames = std::mem::take(&mut self.scratch.frames);
         frames.clear();
         self.build_outgoing_frames(now, &mut frames);
-        if self.regime.beacon_this_tick {
-            for v in self.world.vehicles.iter() {
-                if v.platooning_enabled {
-                    self.metrics.links.record_offer(v.node);
-                }
-            }
+        if self.regime.beacon_this_tick && self.world.vehicles[0].platooning_enabled {
+            self.metrics.leader_beacons += 1;
         }
         let honest_frames = frames.len() as u64;
         for attack in self.attacks.iter_mut() {
@@ -1048,7 +1125,7 @@ impl Engine {
                 .step(now, &frames, &receivers, &self.world.jammers, &mut self.rng);
         self.medium_pairs += step_stats.pairs_considered as u64;
         // Per-tick max delivery latency: canonical NaN when nothing landed
-        // (the same convention as `per_frame_ratio` / `LinkStats::max_latency`).
+        // (the same convention as `per_frame_ratio`).
         let tick_max_latency = deliveries
             .iter()
             .map(|d| d.latency)
@@ -1378,20 +1455,18 @@ impl Engine {
         None
     }
 
+    /// Phase 3, one frame at a time. A frame's deliveries are adjacent (see
+    /// [`Delivery::frame`]), so its payload is decoded once and its digest
+    /// probed once. Every delivery is still screened on its own, then
+    /// deduplicated, observed and applied, in delivery order.
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
-        // PDR accounting: count at most one delivery per (sender, receiver)
-        // pair per step so hybrid duplicates do not inflate the ratio.
-        let mut seen_pairs = std::mem::take(&mut self.scratch.seen_pairs);
-        seen_pairs.clear();
         // Protocol dedup: in hybrid modes the same payload arrives on two
         // channels; apply it once per receiver per step so counters (e.g.
         // join-request statistics) are not inflated. Defenses still see
         // every copy via filter_rx (the hybrid cross-validator needs both).
-        let mut seen_payloads = std::mem::take(&mut self.scratch.seen_payloads);
-        seen_payloads.clear();
-        let mut digests = std::mem::take(&mut self.scratch.digests);
-        digests.clear();
+        let mut dedup = std::mem::take(&mut self.scratch.dedup);
+        dedup.clear();
         // Accepted message observations accumulate here in arrival order
         // and are handed to the detection pipeline in one batched ingest
         // after the loop. The constructed observations depend only on
@@ -1427,40 +1502,45 @@ impl Engine {
         // Platoon layout cache for `apply_message`, invalidated whenever a
         // manoeuvre rewrites platoon membership mid-loop.
         let mut layout_cache: Option<PlatoonLayout> = None;
-        for delivery in deliveries {
-            let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
-                continue; // RSU or attacker receiver; vehicles only here.
-            };
-            if self.world.index_of_node(delivery.sender).is_some()
-                && seen_pairs.insert((delivery.sender, delivery.receiver))
-            {
-                self.metrics.links.record_delivery(
-                    delivery.sender,
-                    delivery.receiver,
-                    delivery.latency,
-                );
+        // PDR accounting: the tail hearing the leader at least once this
+        // step, so hybrid duplicates do not inflate the ratio.
+        let (leader, tail) = self.leader_tail;
+        let mut tail_heard_leader = false;
+        for frame in deliveries.chunk_by(|a, b| a.frame == b.frame) {
+            let head = &frame[0];
+            if head.sender == leader && !tail_heard_leader {
+                tail_heard_leader = frame.iter().any(|d| d.receiver == tail);
             }
-            let Ok(env) = Envelope::decode(&delivery.payload) else {
+            let Ok(env) = Envelope::decode(&head.payload) else {
                 continue;
             };
-            let Some(msg) = self.screen(rx_idx, delivery, &env, now) else {
-                continue;
-            };
-            if !seen_payloads.insert((rx_idx, digests.digest(&delivery.payload))) {
-                continue; // duplicate channel copy already applied
+            dedup.next_frame();
+            for delivery in frame {
+                let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
+                    continue; // RSU or attacker receiver; vehicles only here.
+                };
+                let Some(msg) = self.screen(rx_idx, delivery, &env, now) else {
+                    continue;
+                };
+                if !dedup.admit(rx_idx, &delivery.payload) {
+                    continue; // duplicate channel copy already applied
+                }
+                if wants_observations {
+                    observations.push(Self::build_observation(
+                        &self.world,
+                        rx_idx,
+                        delivery,
+                        &env,
+                        &msg,
+                        now,
+                        coloc.as_ref(),
+                    ));
+                }
+                self.apply_message(rx_idx, env.sender, &env, msg, now, &mut layout_cache);
             }
-            if wants_observations {
-                observations.push(Self::build_observation(
-                    &self.world,
-                    rx_idx,
-                    delivery,
-                    &env,
-                    &msg,
-                    now,
-                    coloc.as_ref(),
-                ));
-            }
-            self.apply_message(rx_idx, env.sender, &env, msg, now, &mut layout_cache);
+        }
+        if tail_heard_leader {
+            self.metrics.leader_tail_deliveries += 1;
         }
         if let Some(pipeline) = self.pipeline.as_mut() {
             self.perf.detector_observations += observations.len() as u64;
@@ -1469,9 +1549,7 @@ impl Engine {
         if let Some(sink) = self.obs_sink.as_mut() {
             sink.on_messages(&observations);
         }
-        self.scratch.seen_pairs = seen_pairs;
-        self.scratch.seen_payloads = seen_payloads;
-        self.scratch.digests = digests;
+        self.scratch.dedup = dedup;
         self.scratch.observations = observations;
     }
 
@@ -2176,13 +2254,11 @@ impl Engine {
             .filter(|f| f.is_finite())
             .sum::<f64>()
             / n as f64;
-        let leader_node = self.world.vehicles[0].node;
-        let tail_node = self.world.vehicles[n - 1].node;
-        let leader_tail_pdr = self
-            .metrics
-            .links
-            .pdr(leader_node, tail_node)
-            .unwrap_or(0.0);
+        assert_eq!(
+            (self.world.vehicles[0].node, self.world.vehicles[n - 1].node),
+            self.leader_tail,
+            "the leader-tail link is fixed when the engine is built"
+        );
         let mean_abs: f64 = if self.metrics.spacing_errors.is_empty() {
             0.0
         } else {
@@ -2215,7 +2291,7 @@ impl Engine {
             min_gap: self.metrics.safety.global_min_gap(),
             min_ttc: self.metrics.safety.min_ttc,
             fuel_l_per_100km: fuel,
-            leader_tail_pdr,
+            leader_tail_pdr: self.metrics.leader_tail_pdr(),
             tail_leader_age_mean: self.metrics.tail_leader_age.mean(),
             fragmented_fraction: self.metrics.fragmented_fraction(),
             service_down_fraction: self.metrics.service_down_fraction(),
@@ -2248,5 +2324,56 @@ mod tests {
         let copy: Payload = beacon.to_vec().into();
         assert_eq!(memo.digest(&copy), want);
         assert_eq!(memo.0.len(), 2);
+    }
+
+    #[test]
+    fn rsu_node_ids_stay_clear_of_vehicle_ids() {
+        // 1001 platoons of 10: vehicle node ids run past 10,000, where the
+        // RSU ids of a smaller world start.
+        let scenario = Scenario::builder()
+            .vehicles(10)
+            .max_platoon_size(10)
+            .platoons(1001)
+            .rsu((0.0, 8.0))
+            .rsu((1500.0, 8.0))
+            .build();
+        let engine = Engine::new(scenario);
+        let world = engine.world();
+        assert_eq!(world.vehicles.len(), 10_010);
+        for rsu in &world.rsus {
+            assert_eq!(world.index_of_node(rsu.node), None, "{:?}", rsu.node);
+        }
+        assert_eq!(world.rsus[0].node, NodeId(10_010));
+    }
+
+    #[test]
+    fn round_dedup_checks_earlier_frames_with_the_same_bytes() {
+        let mut dedup = RoundDedup::default();
+        let beacon: Payload = b"sealed leader beacon".as_slice().into();
+        let other: Payload = b"another vehicle's beacon".as_slice().into();
+        // Frame 0, the original, reaches receivers 1 and 2.
+        dedup.next_frame();
+        assert!(dedup.admit(1, &beacon));
+        assert!(dedup.admit(2, &beacon));
+        // Frame 1 carries other bytes.
+        dedup.next_frame();
+        assert!(dedup.admit(1, &other));
+        // Frame 2 is a byte copy of frame 0: a new allocation, the same key.
+        let copy: Payload = beacon.to_vec().into();
+        dedup.next_frame();
+        assert!(!dedup.admit(2, &copy));
+        assert!(dedup.admit(3, &copy));
+        // Frame 3 shares frame 0's allocation (a hybrid copy or a relay);
+        // the check walks back through frames 2 and 0.
+        dedup.next_frame();
+        assert!(!dedup.admit(3, &beacon));
+        assert!(!dedup.admit(1, &beacon));
+        assert!(dedup.admit(4, &beacon));
+        // Three allocations were hashed, each once.
+        assert_eq!(dedup.digests.0.len(), 3);
+        // A new round forgets the last one.
+        dedup.clear();
+        dedup.next_frame();
+        assert!(dedup.admit(2, &beacon));
     }
 }

@@ -9,7 +9,6 @@ use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_dynamics::safety::SafetyMonitor;
 use platoon_dynamics::stability::{StringStabilityReport, TimeSeries};
 use platoon_proto::maneuver::ManeuverStats;
-use platoon_v2x::stats::LinkStats;
 
 /// Collected continuously during a run.
 #[derive(Clone, Debug)]
@@ -20,8 +19,11 @@ pub struct MetricsCollector {
     pub speeds: Vec<TimeSeries>,
     /// Safety monitoring.
     pub safety: SafetyMonitor,
-    /// Link-level delivery statistics.
-    pub links: LinkStats,
+    /// Beacon ticks on which the leader (`vehicles[0]`) was enabled.
+    pub leader_beacons: u64,
+    /// Ticks on which a frame from the leader's radio node reached the
+    /// tail's (`vehicles[n - 1]`), counted once per tick.
+    pub leader_tail_deliveries: u64,
     /// Fraction-of-time accumulator: platoon fragmented (more than one
     /// platoon id present).
     fragmented_time: f64,
@@ -42,7 +44,8 @@ impl MetricsCollector {
                 .collect(),
             speeds: (0..n).map(|_| TimeSeries::new(dt)).collect(),
             safety: SafetyMonitor::new(n.saturating_sub(1)),
-            links: LinkStats::new(),
+            leader_beacons: 0,
+            leader_tail_deliveries: 0,
             fragmented_time: 0.0,
             total_time: 0.0,
             service_down_time: 0.0,
@@ -75,6 +78,16 @@ impl MetricsCollector {
             return 0.0;
         }
         self.service_down_time / self.total_time
+    }
+
+    /// Leader-to-tail packet delivery ratio: the ticks on which the tail
+    /// heard the leader over the leader's beacon ticks, or 0 when the leader
+    /// never beaconed.
+    pub fn leader_tail_pdr(&self) -> f64 {
+        if self.leader_beacons == 0 {
+            return 0.0;
+        }
+        self.leader_tail_deliveries as f64 / self.leader_beacons as f64
     }
 
     /// Builds the string-stability report from the recorded errors.
@@ -329,7 +342,7 @@ mod tests {
             "empty errors are trivially stable"
         );
         assert_eq!(c.safety.collision_count(), 0);
-        assert_eq!(c.links.mean_latency(), 0.0, "no samples, no 0/0");
+        assert_eq!(c.leader_tail_pdr(), 0.0, "no beacons, no 0/0");
     }
 
     #[test]

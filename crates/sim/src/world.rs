@@ -218,6 +218,8 @@ impl World {
     pub fn rebuild_lookup(&mut self) {
         self.principal_lookup.clear();
         self.node_lookup.clear();
+        self.principal_lookup.reserve(self.vehicles.len());
+        self.node_lookup.reserve(self.vehicles.len());
         for (i, v) in self.vehicles.iter().enumerate() {
             self.principal_lookup.insert(v.principal, i);
             self.node_lookup.insert(v.node, i);

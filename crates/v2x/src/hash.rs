@@ -3,10 +3,9 @@
 //!
 //! `std`'s default `RandomState` runs SipHash-1-3 with a per-process random
 //! key: resistant to collision flooding, but several times the cost of one
-//! multiply per word on the small integer keys the delivery loop probes
-//! (node ids, vehicle indices, payload digests — about seven lookups per
-//! delivery). Those keys come from the simulation, never from the network,
-//! so flooding is not a threat there.
+//! multiply per word on the small integer keys the engine probes (node ids,
+//! payload digests, spatial-grid cells). Those keys come from the
+//! simulation, never from the network, so flooding is not a threat there.
 //!
 //! The rule: maps keyed by simulation state use [`FxHashMap`] /
 //! [`FxHashSet`]; maps keyed by network input (the job server) keep

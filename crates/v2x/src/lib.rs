@@ -4,7 +4,8 @@
 //! (reproduction of Taylor et al., DSN-W 2021). Replaces the real IEEE
 //! 802.11p / C-V2X / VLC hardware the paper's attack surface lives on:
 //!
-//! * [`message`] — frames, node ids, channels, deliveries.
+//! * [`message`] — frames, node ids, channels, and deliveries, each tagged
+//!   with the index of its frame.
 //! * [`channel`] — log-distance + Nakagami-m DSRC propagation with SINR
 //!   reception.
 //! * [`medium`] — the shared broadcast medium with a CSMA/CA-flavoured MAC,
@@ -15,7 +16,6 @@
 //! * [`spatial`] — uniform-grid index turning all-pairs reception scans into
 //!   range queries for highway-scale (multi-platoon) worlds.
 //! * [`jamming`] — continuous / periodic / reactive RF jammers.
-//! * [`stats`] — PDR, latency and beacon-age accounting.
 //!
 //! The substrate is *open by construction*: any node can transmit any bytes
 //! on any channel, and any node within radio range receives — this mirrors
@@ -52,7 +52,6 @@ pub mod jamming;
 pub mod medium;
 pub mod message;
 pub mod spatial;
-pub mod stats;
 pub mod vlc;
 
 /// Convenient glob-import of the crate's primary types.
@@ -62,7 +61,6 @@ pub mod prelude {
     pub use crate::medium::{RadioMedium, Receiver, StepStats};
     pub use crate::message::{distance, ChannelKind, Delivery, Frame, NodeId, Payload, Position};
     pub use crate::spatial::SpatialGrid;
-    pub use crate::stats::{BeaconAgeTracker, LinkStats};
     pub use crate::vlc::VlcPhy;
 }
 
@@ -134,16 +132,6 @@ mod proptests {
             prop_assert_eq!(da, db);
             prop_assert_eq!(sa, sb);
             prop_assert_eq!(rand::RngCore::next_u64(&mut rng_a), rand::RngCore::next_u64(&mut rng_b));
-        }
-
-        /// PDR is always within [0, 1].
-        #[test]
-        fn pdr_bounded(offers in 1u64..50, hits in 0u64..50) {
-            let mut s = LinkStats::new();
-            for _ in 0..offers { s.record_offer(NodeId(1)); }
-            for _ in 0..hits.min(offers) { s.record_delivery(NodeId(1), NodeId(2), 0.001); }
-            let pdr = s.pdr(NodeId(1), NodeId(2)).unwrap();
-            prop_assert!((0.0..=1.0).contains(&pdr));
         }
     }
 }

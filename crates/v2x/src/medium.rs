@@ -90,15 +90,31 @@ impl Default for RadioMedium {
 
 #[derive(Clone, Debug)]
 struct ScheduledFrame {
+    /// Index of the frame in the slice offered to [`RadioMedium::step`].
+    index: u32,
     frame: Frame,
     start: f64,
     end: f64,
 }
 
+/// The frames offered on `channel`, in offer order, each with its index in
+/// `frames`.
+fn on_channel(frames: &[Frame], channel: ChannelKind) -> Vec<(u32, &Frame)> {
+    frames
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.channel == channel)
+        .map(|(i, f)| (u32::try_from(i).expect("fewer than 2^32 frames offered"), f))
+        .collect()
+}
+
 impl RadioMedium {
     /// Runs one communication step: schedules `frames`, applies the channel
     /// and jammers, and returns all successful deliveries (a node never
-    /// receives its own frame).
+    /// receives its own frame). Each delivery carries the index of its frame
+    /// in `frames`, and one frame's deliveries are adjacent: DSRC frames in
+    /// CSMA order, then C-V2X, then VLC frames in offer order. With distinct
+    /// receiver ids, a frame reaches each receiver at most once.
     pub fn step<R: Rng + ?Sized>(
         &self,
         now: f64,
@@ -114,19 +130,9 @@ impl RadioMedium {
         };
         let traffic_on_air = !frames.is_empty();
 
-        // Partition by channel.
-        let dsrc_frames: Vec<&Frame> = frames
-            .iter()
-            .filter(|f| f.channel == ChannelKind::Dsrc)
-            .collect();
-        let vlc_frames: Vec<&Frame> = frames
-            .iter()
-            .filter(|f| f.channel == ChannelKind::Vlc)
-            .collect();
-        let cv2x_frames: Vec<&Frame> = frames
-            .iter()
-            .filter(|f| f.channel == ChannelKind::CV2x)
-            .collect();
+        let dsrc_frames = on_channel(frames, ChannelKind::Dsrc);
+        let vlc_frames = on_channel(frames, ChannelKind::Vlc);
+        let cv2x_frames = on_channel(frames, ChannelKind::CV2x);
 
         // With a finite radio horizon, index receiver positions once and
         // frame origins per channel so delivery becomes range queries.
@@ -165,7 +171,7 @@ impl RadioMedium {
             rng,
         );
 
-        for frame in vlc_frames {
+        for (index, frame) in vlc_frames {
             for rx in receivers {
                 if rx.id == frame.sender {
                     continue;
@@ -174,6 +180,7 @@ impl RadioMedium {
                     deliveries.push(Delivery {
                         sender: frame.sender,
                         receiver: rx.id,
+                        frame: index,
                         channel: ChannelKind::Vlc,
                         latency: frame.airtime(self.vlc.bitrate),
                         rssi_dbm: 0.0,
@@ -205,16 +212,17 @@ impl RadioMedium {
     /// overlapping transmission the sender can hear.
     fn schedule_csma<R: Rng + ?Sized>(
         &self,
-        frames: &[&Frame],
+        frames: &[(u32, &Frame)],
         rng: &mut R,
     ) -> Vec<ScheduledFrame> {
         let mut sched: Vec<ScheduledFrame> = frames
             .iter()
-            .map(|f| {
+            .map(|&(index, f)| {
                 let airtime = f.airtime(self.dsrc.bitrate);
                 let start = rng.gen_range(0.0..(self.step_len - airtime).max(1e-6));
                 ScheduledFrame {
-                    frame: (*f).clone(),
+                    index,
+                    frame: f.clone(),
                     start,
                     end: start + airtime,
                 }
@@ -281,15 +289,16 @@ impl RadioMedium {
     /// C-V2X semi-persistent scheduling: deterministic slot from the sender
     /// id, no listen-before-talk. Two senders share a slot only on a hash
     /// collision.
-    fn schedule_sps(&self, frames: &[&Frame]) -> Vec<ScheduledFrame> {
+    fn schedule_sps(&self, frames: &[(u32, &Frame)]) -> Vec<ScheduledFrame> {
         let slot_len = self.step_len / self.cv2x_slots.max(1) as f64;
         frames
             .iter()
-            .map(|f| {
+            .map(|&(index, f)| {
                 let slot = (f.sender.0 as usize) % self.cv2x_slots.max(1);
                 let start = slot as f64 * slot_len;
                 ScheduledFrame {
-                    frame: (*f).clone(),
+                    index,
+                    frame: f.clone(),
                     start,
                     end: start + f.airtime(self.dsrc.bitrate).min(slot_len),
                 }
@@ -378,6 +387,7 @@ impl RadioMedium {
                     deliveries.push(Delivery {
                         sender: sf.frame.sender,
                         receiver: rx.id,
+                        frame: sf.index,
                         channel,
                         latency: sf.end,
                         rssi_dbm: signal_dbm,
@@ -568,7 +578,7 @@ mod tests {
             frame(0, 0.0, ChannelKind::Dsrc),
             frame(1, 10.0, ChannelKind::Dsrc),
         ];
-        let refs: Vec<&Frame> = frames.iter().collect();
+        let refs = on_channel(&frames, ChannelKind::Dsrc);
         let mut rng = rng();
         for _ in 0..50 {
             let sched = medium.schedule_csma(&refs, &mut rng);
@@ -742,6 +752,7 @@ mod tests {
                     deliveries.push(Delivery {
                         sender: sf.frame.sender,
                         receiver: rx.id,
+                        frame: sf.index,
                         channel,
                         latency: sf.end,
                         rssi_dbm: signal_dbm,
@@ -776,7 +787,7 @@ mod tests {
             };
             for seed in 0..10 {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let refs: Vec<&Frame> = frames.iter().collect();
+                let refs = on_channel(frames, channel);
                 let scheduled = match channel {
                     ChannelKind::Dsrc => medium.schedule_csma(&refs, &mut rng),
                     _ => medium.schedule_sps(&refs),
@@ -908,6 +919,62 @@ mod tests {
         // The near cluster is fully inside the horizon: 6 frames × 5 peers.
         assert_eq!(s_idx.pairs_considered, 30);
         assert_eq!(s_scan.pairs_considered, 6 * 11);
+    }
+
+    #[test]
+    fn deliveries_name_their_frame_in_the_offered_slice() {
+        // Channels interleave in offer order and every payload is distinct,
+        // so a delivery's bytes identify the frame it came from. Each frame
+        // has its own sender, so no two C-V2X frames share a slot.
+        let medium = RadioMedium::default();
+        let receivers = platoon_receivers(6, 12.0);
+        let channels = [ChannelKind::Dsrc, ChannelKind::Vlc, ChannelKind::CV2x];
+        let frames: Vec<Frame> = (0..18u64)
+            .map(|i| frame(i, (i % 6) as f64 * 12.0, channels[i as usize % 3]))
+            .collect();
+        let mut csma_reordered = false;
+        let mut heard = [false; 3];
+        for seed in 0..20 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (deliveries, _) = medium.step(0.0, &frames, &receivers, &[], &mut rng);
+            let mut runs: Vec<u32> = Vec::new();
+            for run in deliveries.chunk_by(|a, b| a.frame == b.frame) {
+                let offered = &frames[run[0].frame as usize];
+                for d in run {
+                    assert_eq!(d.sender, offered.sender, "seed {seed}");
+                    assert_eq!(d.channel, offered.channel, "seed {seed}");
+                    assert_eq!(d.payload.as_slice(), offered.payload.as_slice());
+                }
+                let mut rx: Vec<NodeId> = run.iter().map(|d| d.receiver).collect();
+                rx.sort();
+                rx.dedup();
+                assert_eq!(
+                    rx.len(),
+                    run.len(),
+                    "seed {seed}: a receiver heard a frame twice"
+                );
+                heard[channels.iter().position(|&c| c == offered.channel).unwrap()] = true;
+                runs.push(run[0].frame);
+            }
+            let mut distinct = runs.clone();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(
+                distinct.len(),
+                runs.len(),
+                "seed {seed}: a frame's deliveries split"
+            );
+            let on = |channel: ChannelKind| -> Vec<u32> {
+                let on_it = |&f: &u32| frames[f as usize].channel == channel;
+                runs.iter().copied().filter(on_it).collect()
+            };
+            // C-V2X and VLC keep offer order; CSMA reorders DSRC.
+            assert!(on(ChannelKind::CV2x).is_sorted(), "seed {seed}");
+            assert!(on(ChannelKind::Vlc).is_sorted(), "seed {seed}");
+            csma_reordered |= !on(ChannelKind::Dsrc).is_sorted();
+        }
+        assert!(csma_reordered, "CSMA never reordered the DSRC frames");
+        assert_eq!(heard, [true; 3], "a channel delivered nothing");
     }
 
     #[test]

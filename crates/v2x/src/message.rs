@@ -158,12 +158,18 @@ impl Frame {
 }
 
 /// A successfully received frame.
+///
+/// Only [`RadioMedium::step`](crate::medium::RadioMedium::step) builds
+/// deliveries. It emits all deliveries of one frame next to each other, so
+/// a run of equal [`frame`](Self::frame) is that frame's fan-out.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Delivery {
     /// Transmitting node.
     pub sender: NodeId,
     /// Receiving node.
     pub receiver: NodeId,
+    /// Index of the delivered frame in the slice offered to the medium.
+    pub frame: u32,
     /// Channel the frame arrived on.
     pub channel: ChannelKind,
     /// End-to-end latency in seconds (MAC access + airtime).
@@ -214,6 +220,13 @@ mod tests {
             payload: Vec::<u8>::new().into(),
         };
         f.airtime(0.0);
+    }
+
+    #[test]
+    fn delivery_frame_index_fits_the_padding() {
+        // The frame index shares the channel tag's word: a delivery stays
+        // seven words, however many a corridor round holds.
+        assert_eq!(std::mem::size_of::<Delivery>(), 56);
     }
 
     #[test]

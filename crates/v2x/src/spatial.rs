@@ -20,8 +20,8 @@
 //!    order must match the scan order of the seed implementation, never
 //!    bucket or completion order.
 
+use crate::hash::FxHashMap;
 use crate::message::{distance, Position};
-use std::collections::HashMap;
 
 /// A uniform grid over 2-D positions supporting exact radius queries.
 ///
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct SpatialGrid {
     cell: f64,
-    cells: HashMap<(i64, i64), Vec<u32>>,
+    cells: FxHashMap<(i64, i64), Vec<u32>>,
     positions: Vec<Position>,
 }
 
@@ -46,7 +46,7 @@ impl SpatialGrid {
             cell_m.is_finite() && cell_m > 0.0,
             "grid cell size must be finite and positive, got {cell_m}"
         );
-        let mut cells: HashMap<(i64, i64), Vec<u32>> = HashMap::new();
+        let mut cells: FxHashMap<(i64, i64), Vec<u32>> = FxHashMap::default();
         for (i, &p) in positions.iter().enumerate() {
             // Indices are pushed in ascending order, so each bucket is sorted.
             cells
