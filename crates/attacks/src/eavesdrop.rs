@@ -138,19 +138,6 @@ impl EavesdropAttack {
         &self.victim_track
     }
 
-    /// Mean absolute error of the reconstructed track against a reference
-    /// trajectory sampled at the same times.
-    pub fn track_error(&self, reference: impl Fn(f64) -> f64) -> f64 {
-        if self.victim_track.is_empty() {
-            return f64::INFINITY;
-        }
-        self.victim_track
-            .iter()
-            .map(|p| (p.position - reference(p.time)).abs())
-            .sum::<f64>()
-            / self.victim_track.len() as f64
-    }
-
     fn position(&self, world: &World) -> Position {
         let n = world.vehicles.len();
         let mid = world.vehicles[n / 2].vehicle.state.position;

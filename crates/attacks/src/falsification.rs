@@ -85,11 +85,6 @@ impl FalsificationAttack {
             lying: false,
         }
     }
-
-    /// Whether the insider is currently lying.
-    pub fn is_lying(&self) -> bool {
-        self.lying
-    }
 }
 
 impl Attack for FalsificationAttack {

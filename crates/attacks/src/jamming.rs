@@ -31,11 +31,6 @@ pub struct JammingConfig {
     pub strategy: JammingStrategy,
     /// Channel being flooded.
     pub target: ChannelKind,
-    /// Whether the jammer paces the platoon (true) or sits at a fixed
-    /// roadside position (false).
-    pub mobile: bool,
-    /// Roadside position when `mobile == false`.
-    pub fixed_position: f64,
 }
 
 impl Default for JammingConfig {
@@ -47,8 +42,6 @@ impl Default for JammingConfig {
             lateral_offset: 6.0,
             strategy: JammingStrategy::Continuous,
             target: ChannelKind::Dsrc,
-            mobile: true,
-            fixed_position: 0.0,
         }
     }
 }
@@ -103,7 +96,7 @@ impl Attack for JammingAttack {
         let should_run = now >= self.config.start && now < self.config.end;
 
         // The attack owns exactly one jammer slot; re-plant it each step so
-        // a mobile jammer tracks the platoon's centre.
+        // the jammer paces the platoon's centre.
         world.jammers.retain(|j| {
             !(j.power_dbm == self.config.power_dbm
                 && j.target == self.config.target
@@ -113,12 +106,8 @@ impl Attack for JammingAttack {
         if !should_run {
             return;
         }
-        let x = if self.config.mobile {
-            let n = world.vehicles.len();
-            world.vehicles[n / 2].vehicle.state.position
-        } else {
-            self.config.fixed_position
-        };
+        let n = world.vehicles.len();
+        let x = world.vehicles[n / 2].vehicle.state.position;
         world.jammers.push(Jammer {
             position: (x, self.config.lateral_offset),
             power_dbm: self.config.power_dbm,

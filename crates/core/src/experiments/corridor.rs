@@ -147,6 +147,11 @@ pub fn corridor_engine(
 /// Steps a corridor engine to the end of its scenario, splitting the lead
 /// platoon in half a third of the way in and merging it back at two
 /// thirds.
+///
+/// # Panics
+///
+/// Panics when the lead roster refuses the split, which fails the job
+/// instead of reporting a corridor that never split.
 pub fn drive_corridor(engine: &mut Engine) -> CorridorRun {
     let scenario = engine.scenario();
     let per = scenario.vehicles;
@@ -157,7 +162,9 @@ pub fn drive_corridor(engine: &mut Engine) -> CorridorRun {
     for step in engine.steps_run()..steps {
         if step == split_at && per >= 4 {
             // Split the lead platoon in half (platoon-local index).
-            let _ = engine.command_split(per / 2);
+            if let Err(e) = engine.command_split(per / 2) {
+                panic!("corridor split at {} refused: {e}", per / 2);
+            }
         }
         if step == merge_at {
             engine.command_merge();

@@ -661,7 +661,6 @@ pub fn fig_malware(quick: bool) -> Figure {
                 engine.add_defense(Box::new(OnboardDefense::new(OnboardConfig {
                     antivirus_detect_per_second: 0.5,
                     remediation_delay: 1.0,
-                    ..Default::default()
                 })));
             }
             let s = engine.run();

@@ -15,7 +15,8 @@
 //!   periodic changes);
 //! * **synchronised** — all vehicles in radio range change in the same
 //!   beacon interval (the cooperative / mix-zone discipline of Pan & Li
-//!   \[27\], modelled by [`ChangePolicy::NeighborTriggered`]).
+//!   \[27\], modelled by
+//!   [`ChangePolicy::NeighborTriggered`](platoon_crypto::pseudonym::ChangePolicy::NeighborTriggered)).
 //!
 //! Expected shape: staggered changes are linked almost perfectly at any
 //! density (the lone changer is trivially re-identified); synchronised
@@ -23,7 +24,6 @@
 //! offers many equally-plausible continuations.
 
 use super::{Figure, Series};
-use platoon_crypto::pseudonym::ChangePolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -221,15 +221,6 @@ pub fn fig_pseudonym_privacy(quick: bool) -> Figure {
                          synchronised changes degrade the tracker as density grows (Pan & \
                          Li's cooperative-change argument [27])"
             .into(),
-    }
-}
-
-/// The change policy this experiment motivates, for documentation parity
-/// with `platoon_crypto::pseudonym`.
-pub fn recommended_policy() -> ChangePolicy {
-    ChangePolicy::NeighborTriggered {
-        min_neighbors: 3,
-        min_interval: 20.0,
     }
 }
 

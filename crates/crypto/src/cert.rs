@@ -183,13 +183,6 @@ impl CertificateAuthority {
         !self.revoked.is_empty() && self.is_revoked(cert.serial())
     }
 
-    /// A snapshot of the revocation list (e.g. for distribution via RSUs).
-    pub fn revocation_list(&self) -> RevocationList {
-        RevocationList {
-            revoked: self.revoked.clone(),
-        }
-    }
-
     /// Full validation as performed by the authority itself.
     ///
     /// # Errors

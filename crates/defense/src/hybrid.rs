@@ -39,10 +39,6 @@ pub struct HybridConfig {
     pub policy: HybridPolicy,
     /// Seconds within which the matching copy must arrive.
     pub window: f64,
-    /// Whether periodic beacons also require both channels (strict SP-VLC)
-    /// or only manoeuvre messages do (practical variant — beacons are
-    /// validated by the control-level plausibility checks instead).
-    pub strict_beacons: bool,
 }
 
 impl Default for HybridConfig {
@@ -50,7 +46,6 @@ impl Default for HybridConfig {
         HybridConfig {
             policy: HybridPolicy::RequireBoth,
             window: 0.25,
-            strict_beacons: false,
         }
     }
 }
@@ -124,12 +119,13 @@ impl Defense for HybridConfirmDefense {
         if self.config.policy == HybridPolicy::EitherChannel {
             return Ok(());
         }
-        // Beacons pass unless strict mode is on.
+        // Only manoeuvre messages need both channels: beacons pass, and the
+        // control-level plausibility checks validate them instead.
         let is_maneuver = envelope
             .open_unverified()
             .map(|m| m.is_maneuver())
             .unwrap_or(false);
-        if !is_maneuver && !self.config.strict_beacons {
+        if !is_maneuver {
             return Ok(());
         }
 
@@ -251,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn beacons_pass_without_strict_mode() {
+    fn beacons_pass_without_cross_channel_confirmation() {
         let mut engine = Engine::new(scenario("hybrid-beacons", CommsMode::HybridVlc));
         engine.add_defense(Box::new(HybridConfirmDefense::new(HybridConfig::default())));
         let s = engine.run();

@@ -26,8 +26,6 @@ use std::any::Any;
 /// Configuration of the hardening defense.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OnboardConfig {
-    /// Deploy the firewall (sets the `hardened` flag on every vehicle).
-    pub firewall: bool,
     /// Per-second probability that the antivirus detects an infection.
     pub antivirus_detect_per_second: f64,
     /// Seconds between infection detection and completed remediation.
@@ -37,7 +35,6 @@ pub struct OnboardConfig {
 impl Default for OnboardConfig {
     fn default() -> Self {
         OnboardConfig {
-            firewall: true,
             antivirus_detect_per_second: 0.2,
             remediation_delay: 2.0,
         }
@@ -91,7 +88,8 @@ impl Defense for OnboardDefense {
         let now = world.time;
         let mut detections = Vec::new();
 
-        if self.config.firewall && !self.deployed {
+        // The firewall deploys on the first step: every vehicle is hardened.
+        if !self.deployed {
             for v in world.vehicles.iter_mut() {
                 v.hardened = true;
             }
@@ -112,7 +110,6 @@ impl Defense for OnboardDefense {
                 self.remediating
                     .push((idx, now + self.config.remediation_delay));
                 detections.push(DetectionEvent {
-                    time: now,
                     suspect: world.vehicles[idx].principal,
                     detector: "antivirus",
                 });
@@ -206,7 +203,6 @@ mod tests {
         let mut engine = Engine::new(scenario("firewall-only"));
         engine.add_attack(Box::new(MalwareAttack::new(MalwareConfig::default())));
         engine.add_defense(Box::new(OnboardDefense::new(OnboardConfig {
-            firewall: true,
             antivirus_detect_per_second: 0.0,
             remediation_delay: 2.0,
         })));

@@ -34,15 +34,6 @@ pub struct RsuConfig {
     /// Identities pre-registered before the run (provisioned fleet members
     /// and any legitimate joiners expected in the scenario).
     pub preregistered: Vec<u64>,
-    /// Whether join requests from unregistered identities are rejected at
-    /// reception (before touching the manoeuvre engine).
-    pub gatekeep_joins: bool,
-    /// Whether the RSU monitors driver behaviour — §VI-A.2: RSUs "can
-    /// monitor the driver's behaviour within the platoon network, which can
-    /// ultimately enable [detection of] various attacks, including
-    /// impersonation attacks". Implemented as a same-instant contradiction
-    /// monitor over the beacon streams the RSU overhears.
-    pub behaviour_monitoring: bool,
 }
 
 impl Default for RsuConfig {
@@ -50,8 +41,6 @@ impl Default for RsuConfig {
         RsuConfig {
             service_range: 500.0,
             preregistered: Vec::new(),
-            gatekeep_joins: true,
-            behaviour_monitoring: true,
         }
     }
 }
@@ -113,16 +102,6 @@ impl RsuDefense {
         }
     }
 
-    /// Registers an identity (e.g. a joiner passing an RSU before the run).
-    pub fn register(&mut self, id: PrincipalId) {
-        self.registered.insert(id);
-    }
-
-    /// Whether an identity is registered.
-    pub fn is_registered(&self, id: PrincipalId) -> bool {
-        self.registered.contains(&id)
-    }
-
     /// Join requests refused at the gate.
     pub fn refused_joins(&self) -> u64 {
         self.refused_joins
@@ -148,7 +127,7 @@ impl RsuDefense {
         world
             .rsus
             .iter()
-            .any(|r| !r.compromised && distance(r.position, mid) <= self.config.service_range)
+            .any(|r| distance(r.position, mid) <= self.config.service_range)
     }
 }
 
@@ -174,21 +153,27 @@ impl Defense for RsuDefense {
             return Ok(());
         };
         match msg {
+            // Join requests from unregistered identities are refused at
+            // reception, before they touch the manoeuvre engine.
             PlatoonMessage::JoinRequest { requester, .. }
-                if self.config.gatekeep_joins && !self.registered.contains(&requester) =>
+                if !self.registered.contains(&requester) =>
             {
                 self.refused_joins += 1;
                 return Err(RejectReason::Distrusted);
             }
-            PlatoonMessage::Beacon(b) if self.config.behaviour_monitoring => {
-                // Two beacons claiming the same instant with materially
-                // different kinematics: an impersonator transmitting
-                // alongside the real sender. The monitor cannot tell which
-                // frame is genuine, so it does not drop either — it reports
-                // the identity to the trusted authority (a DetectionEvent),
-                // whose revocation/re-keying is the actual remedy (the
-                // "keys" mechanism). This is exactly the paper's division of
-                // labour: RSUs *detect* impersonation (§VI-A.2).
+            PlatoonMessage::Beacon(b) => {
+                // Behaviour monitoring — §VI-A.2: RSUs "can monitor the
+                // driver's behaviour within the platoon network, which can
+                // ultimately enable [detection of] various attacks, including
+                // impersonation attacks". Two beacons claiming the same
+                // instant with materially different kinematics: an
+                // impersonator transmitting alongside the real sender. The
+                // monitor cannot tell which frame is genuine, so it does not
+                // drop either — it reports the identity to the trusted
+                // authority (a DetectionEvent), whose revocation/re-keying is
+                // the actual remedy (the "keys" mechanism). This is exactly
+                // the paper's division of labour: RSUs *detect*
+                // impersonation.
                 let now_key = b.timestamp;
                 if let Some(&(t0, p0, v0)) = self.last_claims.get(&envelope.sender) {
                     if (now_key - t0).abs() < 1e-6
@@ -196,7 +181,6 @@ impl Defense for RsuDefense {
                         && self.flagged.insert(envelope.sender)
                     {
                         self.pending_detections.push(DetectionEvent {
-                            time: _now,
                             suspect: envelope.sender,
                             detector: "rsu-monitor",
                         });

@@ -193,7 +193,6 @@ impl TrustDefense {
         if rep.score() < config.eviction_threshold && !self.evicted.contains_key(&sender) {
             self.evicted.insert(sender, now);
             self.pending.push(DetectionEvent {
-                time: now,
                 suspect: sender,
                 detector: "trust",
             });

@@ -9,7 +9,8 @@
 //! ... the sensor information can show any discrepancies in information
 //! passed between the platoon members."
 //!
-//! Two independent checks, each toggleable for the F6 ablation:
+//! Two independent message checks. The ranging cross-check always runs;
+//! the RSSI check can be switched off for the A1 ablation:
 //!
 //! * **Ranging cross-check** — a beacon claiming to be my predecessor must
 //!   agree with my own radar/LiDAR ranging. Catches GPS-spoofed victims,
@@ -33,8 +34,6 @@ use std::collections::HashMap;
 /// Configuration of the detector.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VpdAdaConfig {
-    /// Enable the radar/LiDAR ranging cross-check.
-    pub ranging_check: bool,
     /// Gap discrepancy threshold in metres for the ranging check.
     pub gap_threshold: f64,
     /// Claimed-speed vs range-rate discrepancy threshold in m/s.
@@ -68,7 +67,6 @@ pub struct VpdAdaConfig {
 impl Default for VpdAdaConfig {
     fn default() -> Self {
         VpdAdaConfig {
-            ranging_check: true,
             gap_threshold: 6.0,
             speed_threshold: 3.0,
             colocation_check: true,
@@ -167,7 +165,6 @@ impl VpdAdaDefense {
         if *count >= self.config.violation_limit {
             self.confirmed.entry(suspect).or_insert_with(|| {
                 self.pending.push(DetectionEvent {
-                    time: now,
                     suspect,
                     detector: "vpd-ada",
                 });
@@ -251,7 +248,7 @@ impl Defense for VpdAdaDefense {
         }
 
         // Ranging cross-check for predecessor beacons.
-        if self.config.ranging_check && receiver_idx > 0 {
+        if receiver_idx > 0 {
             if let PlatoonMessage::Beacon(b) = &msg {
                 let pred_principal = world.vehicles[receiver_idx - 1].principal;
                 if envelope.sender == pred_principal {
@@ -317,7 +314,6 @@ impl Defense for VpdAdaDefense {
                                 platoon_dynamics::sensors::SensorFault::Outage;
                             self.quarantined_radars.push(idx);
                             self.pending.push(DetectionEvent {
-                                time: now,
                                 suspect: world.vehicles[idx].principal,
                                 detector: "vpd-ada-fusion",
                             });

@@ -52,6 +52,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Documents loaded from the on-disk store at startup.
     pub loaded: u64,
+    /// Inserts whose disk write failed; the document was served uncached.
+    pub write_failures: u64,
 }
 
 /// The LRU result cache. Not internally synchronised — the service wraps
@@ -147,6 +149,11 @@ impl ResultCache {
     /// document (the existing one if the key was already present — the
     /// determinism invariant makes any two documents for one key
     /// byte-identical, so first-write wins is safe).
+    ///
+    /// # Errors
+    ///
+    /// A failed disk write is counted in [`CacheStats::write_failures`] and
+    /// returned; the document is then not cached.
     pub fn insert(&mut self, key: u64, document: &str) -> std::io::Result<Arc<str>> {
         if let Some(existing) = self.entries.get(&key).cloned() {
             self.touch(key);
@@ -154,8 +161,12 @@ impl ResultCache {
         }
         if let Some(dir) = &self.config.dir {
             let temp = dir.join(temp_file(key));
-            std::fs::write(&temp, document)?;
-            std::fs::rename(&temp, dir.join(entry_file(key)))?;
+            let written = std::fs::write(&temp, document)
+                .and_then(|()| std::fs::rename(&temp, dir.join(entry_file(key))));
+            if let Err(e) = written {
+                self.stats.write_failures += 1;
+                return Err(e);
+            }
         }
         let doc: Arc<str> = Arc::from(document);
         self.attach(key, doc.clone());

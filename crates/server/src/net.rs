@@ -71,11 +71,16 @@ impl NetServer {
                     let Ok(stream) = stream else { continue };
                     let service = Arc::clone(&service);
                     let stop = Arc::clone(&stop);
-                    let _ = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name("platoon-server-conn".into())
                         .spawn(move || {
-                            let _ = handle_connection(stream, &service, &stop, addr);
+                            if let Err(e) = handle_connection(stream, &service, &stop, addr) {
+                                eprintln!("connection error: {e}");
+                            }
                         });
+                    if let Err(e) = spawned {
+                        eprintln!("cannot serve a connection: thread spawn failed: {e}");
+                    }
                 }
             })?;
         Ok(NetServer {
@@ -309,6 +314,7 @@ pub fn stats_line(snapshot: &ServiceSnapshot) -> String {
         w.field_u64("cache_insertions", snapshot.cache.insertions);
         w.field_u64("cache_evictions", snapshot.cache.evictions);
         w.field_u64("cache_loaded", snapshot.cache.loaded);
+        w.field_u64("cache_write_failures", snapshot.cache.write_failures);
         w.field_u64("cache_entries", snapshot.cache_entries as u64);
         w.field_u64("cache_bytes", snapshot.cache_bytes as u64);
     });

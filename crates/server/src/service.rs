@@ -312,8 +312,8 @@ fn worker_loop(inner: &Inner, engine_threads: usize, budget: Option<Duration>) {
             .expect("finished key was in flight");
         match executed.outcome {
             JobOutcome::Ok(document) => {
-                // A failed disk write degrades to memory-only for this
-                // entry; the document is still served.
+                // A failed disk write is counted in the cache stats; the
+                // document is still served, uncached.
                 let shared = state
                     .cache
                     .insert(key, &document)

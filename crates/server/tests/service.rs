@@ -4,7 +4,7 @@
 use platoon_server::cache::{CacheConfig, ResultCache};
 use platoon_server::grids::experiment_grid;
 use platoon_server::job::{cache_key, JobSpec, CODE_VERSION};
-use platoon_server::net::{Client, NetServer, MAX_REQUEST_BYTES, MAX_SUBMIT_JOBS};
+use platoon_server::net::{stats_line, Client, NetServer, MAX_REQUEST_BYTES, MAX_SUBMIT_JOBS};
 use platoon_server::service::{JobStatus, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -385,4 +385,35 @@ fn timeouts_are_not_cached_but_successes_survive_restarts() {
     );
     drop(restarted);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A result whose cache write fails is still served, and the failure is
+/// counted. The store directory is deleted after start, which fails the
+/// write even for root (a read-only directory would not).
+#[test]
+fn failed_cache_writes_are_counted_and_the_result_still_served() {
+    let dir = scratch("vanished");
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        job_budget: None,
+        engine_threads: 1,
+        cache: CacheConfig {
+            max_bytes: 1 << 20,
+            dir: Some(dir.clone()),
+        },
+    })
+    .expect("service starts");
+    std::fs::remove_dir_all(&dir).expect("store directory removed");
+    let spec = JobSpec::Perf {
+        cell: "perf/acc/none/dsrc".into(),
+        quick: true,
+    };
+    let results = service.run_batch(vec![spec]);
+    assert_eq!(results[0].status, JobStatus::Executed);
+    assert!(results[0].document.is_some(), "the document is served");
+    let snapshot = service.snapshot();
+    assert_eq!(snapshot.cache.write_failures, 1);
+    assert_eq!(snapshot.cache_entries, 0, "the document is not cached");
+    let stats = stats_line(&snapshot);
+    assert!(stats.contains("\"cache_write_failures\": 1"), "{stats}");
 }

@@ -45,8 +45,6 @@ impl fmt::Display for RejectReason {
 /// A misbehaviour detection raised by a defense.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DetectionEvent {
-    /// Simulation time of the detection.
-    pub time: f64,
     /// The accused principal (ghost ids included).
     pub suspect: PrincipalId,
     /// Short label of the detector that fired.

@@ -19,10 +19,9 @@
 
 use crate::attack::Attack;
 use crate::defense::{Defense, RejectReason};
-use crate::events::{Event, EventLog};
 use crate::fault::Fault;
 use crate::harness::{fnv1a_fold, FNV_OFFSET};
-use crate::metrics::{score_alerts, DetectionSummary, MetricsCollector, RunSummary, TruthLabels};
+use crate::metrics::{MetricsCollector, RunSummary};
 use crate::par;
 use crate::perf::PerfCounters;
 use crate::regime::{steps_for, RegimeState};
@@ -302,7 +301,6 @@ pub struct Engine {
     defenses: Vec<Box<dyn Defense>>,
     faults: Vec<Box<dyn Fault>>,
     metrics: MetricsCollector,
-    events: EventLog,
     rng: StdRng,
     /// Manoeuvre responses queued by the leader for the next step.
     outbox: Vec<(usize, PlatoonMessage)>,
@@ -317,14 +315,13 @@ pub struct Engine {
     /// Optional passive tap on the accepted-observation stream (dataset
     /// export); sees exactly the batches the pipeline would ingest.
     obs_sink: Option<Box<dyn ObservationSink>>,
-    /// Ground-truth attack labels for scoring the alert stream.
-    truth: Option<TruthLabels>,
     /// Next platoon id to assign on splits.
     next_platoon_id: u32,
     steps_run: u64,
     /// Driving-regime bookkeeping (active phase, applied channel deltas).
     regime: RegimeState,
-    /// Previous step's service state, for edge-triggered outage events.
+    /// Previous step's service state, so an outage is traced once, when it
+    /// starts.
     service_was_down: Vec<bool>,
     /// Reusable per-step buffers (see [`StepScratch`]).
     scratch: StepScratch,
@@ -418,7 +415,6 @@ impl Engine {
                 infected: false,
                 hardened: false,
                 platooning_enabled: true,
-                lane_offset: 0.0,
             });
         }
 
@@ -433,7 +429,6 @@ impl Engine {
             .map(|(i, &position)| Rsu {
                 node: NodeId(first_rsu + i as u64),
                 position,
-                compromised: false,
             })
             .collect();
 
@@ -460,7 +455,6 @@ impl Engine {
             defenses: Vec::new(),
             faults: Vec::new(),
             metrics,
-            events: EventLog::default(),
             rng,
             outbox: Vec::new(),
             claimed_positions: FxHashMap::default(),
@@ -468,7 +462,6 @@ impl Engine {
             detections: 0,
             pipeline: None,
             obs_sink: None,
-            truth: None,
             next_platoon_id: platoons as u32 + 1,
             steps_run: 0,
             regime: RegimeState::default(),
@@ -572,17 +565,12 @@ impl Engine {
         &self.faults
     }
 
-    /// The event log.
-    pub fn events(&self) -> &EventLog {
-        &self.events
-    }
-
     /// Attaches a streaming misbehavior-detection pipeline. The engine
     /// feeds it every observation vehicles already see — received beacons
     /// and manoeuvre messages (after channel delivery, with RSSI and
     /// credential metadata), on-board radar/LiDAR cross-check samples, and
     /// a per-step tick for silence monitoring. Alerts it raises are
-    /// counted in `detections` and logged as events.
+    /// counted in `detections` and traced as detector alerts.
     pub fn attach_detectors(&mut self, pipeline: Pipeline) {
         self.pipeline = Some(pipeline);
     }
@@ -613,11 +601,6 @@ impl Engine {
         self.obs_sink.take()
     }
 
-    /// The attached detection pipeline, if any.
-    pub fn detector_pipeline(&self) -> Option<&Pipeline> {
-        self.pipeline.as_ref()
-    }
-
     /// Attaches a per-tick trace recorder. Each step emits phase-scoped
     /// [`TraceRecord`]s stamped with the tick index and tick-derived
     /// simulation time only — never wall clock — so the recorded stream is
@@ -637,7 +620,7 @@ impl Engine {
     /// A free-standing helper over the field (rather than `&mut self`) so
     /// phases that already hold disjoint field borrows — the fault/defense
     /// hook loops, delivery processing — can emit without fighting the
-    /// borrow checker, mirroring how `events.push` is reached.
+    /// borrow checker.
     fn trace_into(
         tracer: &mut Option<TraceRecorder>,
         tick: u64,
@@ -655,28 +638,10 @@ impl Engine {
         }
     }
 
-    /// Labels the run with ground truth about the injected attack, so the
-    /// alert stream can be scored by [`detection_summary`](Self::detection_summary).
-    pub fn set_truth(&mut self, truth: TruthLabels) {
-        self.truth = Some(truth);
-    }
-
-    /// The ground-truth labels, if set.
-    pub fn truth(&self) -> Option<&TruthLabels> {
-        self.truth.as_ref()
-    }
-
     /// Every alert the detection pipeline has raised, in raise order
     /// (empty when no pipeline is attached).
     pub fn alerts(&self) -> &[Alert] {
         self.pipeline.as_ref().map(|p| p.alerts()).unwrap_or(&[])
-    }
-
-    /// Scores the alert stream against the run's ground-truth labels.
-    /// `None` until [`set_truth`](Self::set_truth) has been called.
-    pub fn detection_summary(&self) -> Option<DetectionSummary> {
-        let truth = self.truth.as_ref()?;
-        Some(score_alerts(self.alerts(), truth))
     }
 
     /// The metric collector.
@@ -748,7 +713,9 @@ impl Engine {
     /// re-enter the roster (the §II-B reform manoeuvre after a split, and
     /// how "all savings are lost ... until the platoon can reform" ends).
     ///
-    /// Returns the number of vehicles merged (0 if nothing trails).
+    /// Returns the number of vehicles merged: 0 if nothing trails, or if
+    /// the lead roster has no room for every trailing vehicle (the merge is
+    /// all or nothing).
     pub fn command_merge(&mut self) -> usize {
         let lead_platoon = self.world.vehicles[0].platoon;
         // Find the first trailing platoon id after the lead block.
@@ -761,6 +728,16 @@ impl Engine {
         else {
             return 0;
         };
+        let roster = self.maneuvers.roster();
+        let entering = self
+            .world
+            .vehicles
+            .iter()
+            .filter(|v| v.platoon == trailing && !roster.contains(v.principal))
+            .count();
+        if roster.len() + entering > roster.max_size {
+            return 0;
+        }
         let mut merged = 0;
         for idx in 0..self.world.vehicles.len() {
             if self.world.vehicles[idx].platoon != trailing {
@@ -781,7 +758,10 @@ impl Engine {
                 v.comm = CommState::default();
             }
             if !self.maneuvers.roster().contains(principal) {
-                let _ = self.maneuvers.roster_mut().admit_tail(principal);
+                self.maneuvers
+                    .roster_mut()
+                    .admit_tail(principal)
+                    .expect("room checked above");
             }
             merged += 1;
         }
@@ -946,7 +926,6 @@ impl Engine {
             defenses,
             faults: self.faults.clone(),
             metrics: self.metrics.clone(),
-            events: self.events.clone(),
             rng: self.rng.clone(),
             outbox: self.outbox.clone(),
             claimed_positions: self.claimed_positions.clone(),
@@ -954,7 +933,6 @@ impl Engine {
             detections: self.detections,
             pipeline: self.pipeline.clone(),
             obs_sink: None,
-            truth: self.truth.clone(),
             next_platoon_id: self.next_platoon_id,
             steps_run: self.steps_run,
             regime: self.regime.clone(),
@@ -1155,9 +1133,7 @@ impl Engine {
         self.process_deliveries(&deliveries, now);
 
         // Expire pending joins (ghosts) and mirror held gaps onto vehicles.
-        for requester in self.maneuvers.expire_pending(now) {
-            self.events.push(now, Event::JoinExpired { requester });
-        }
+        self.maneuvers.expire_pending(now);
         self.mirror_pending_gaps(now);
 
         // Phase 4: control.
@@ -1175,12 +1151,6 @@ impl Engine {
         for defense in self.defenses.iter_mut() {
             for det in defense.on_step(&mut self.world, &mut self.rng) {
                 self.detections += 1;
-                self.events.push(
-                    det.time,
-                    Event::Detection {
-                        suspect: det.suspect,
-                    },
-                );
                 Self::trace_into(
                     &mut self.tracer,
                     tick,
@@ -1412,9 +1382,9 @@ impl Engine {
     }
 
     /// Engine-level authentication, then every defense's `filter_rx`. The
-    /// first refusal rejects the delivery: it is counted, logged as
-    /// [`Event::MessageRejected`] and traced as a defense verdict, in that
-    /// order, and `None` comes back.
+    /// first refusal rejects the delivery: it is counted in
+    /// `rejected_messages` and traced as a defense verdict, and `None`
+    /// comes back.
     fn screen(
         &mut self,
         rx_idx: usize,
@@ -1433,14 +1403,6 @@ impl Engine {
             Err(reason) => reason,
         };
         self.rejected_messages += 1;
-        self.events.push(
-            now,
-            Event::MessageRejected {
-                receiver: rx_idx,
-                sender: env.sender,
-                reason,
-            },
-        );
         Self::trace_into(
             &mut self.tracer,
             self.steps_run,
@@ -1679,7 +1641,7 @@ impl Engine {
 
     /// Per-step detection-pipeline work: on-board sensor cross-checks,
     /// silence monitoring, and draining freshly raised alerts into the
-    /// event log.
+    /// `detections` count and the trace.
     fn run_detection_pipeline(&mut self, now: f64) {
         let Some(pipeline) = self.pipeline.as_mut() else {
             return;
@@ -1738,14 +1700,8 @@ impl Engine {
         for alert in pipeline.take_alerts() {
             self.detections += 1;
             let suspect = match alert.target {
-                AlertTarget::Sender(suspect) => {
-                    self.events.push(alert.time, Event::Detection { suspect });
-                    Some(suspect.0)
-                }
-                AlertTarget::Channel => {
-                    self.events.push(alert.time, Event::ChannelAlarm);
-                    None
-                }
+                AlertTarget::Sender(suspect) => Some(suspect.0),
+                AlertTarget::Channel => None,
             };
             Self::trace_into(
                 &mut self.tracer,
@@ -1840,8 +1796,6 @@ impl Engine {
                 );
                 match outcome {
                     JoinOutcome::Accept { slot } => {
-                        self.events
-                            .push(now, Event::JoinAccepted { requester, slot });
                         self.outbox.push((
                             rx_idx,
                             PlatoonMessage::JoinAccept {
@@ -1862,7 +1816,6 @@ impl Engine {
                         ));
                     }
                     JoinOutcome::Deny(reason) => {
-                        self.events.push(now, Event::JoinRefused { requester });
                         self.outbox.push((
                             rx_idx,
                             PlatoonMessage::JoinDeny {
@@ -1873,9 +1826,7 @@ impl Engine {
                             },
                         ));
                     }
-                    JoinOutcome::Dropped => {
-                        self.events.push(now, Event::JoinRefused { requester });
-                    }
+                    JoinOutcome::Dropped => {}
                 }
             }
             PlatoonMessage::LeaveRequest {
@@ -1914,7 +1865,7 @@ impl Engine {
                     return;
                 }
                 if local_idx >= at_index as usize && local_idx > 0 {
-                    self.execute_split_membership(rx_idx, new_platoon, now);
+                    self.execute_split_membership(rx_idx, new_platoon);
                     // Membership changed: later deliveries this step must
                     // recompute the layout.
                     *layout = None;
@@ -1977,6 +1928,9 @@ impl Engine {
             }
             let slot_pos = self.expected_slot_position(slot);
             if (claimed_pos - slot_pos).abs() <= JOIN_ARRIVAL_TOLERANCE {
+                // A refused completion (the roster filled up meanwhile)
+                // leaves the join pending: it retries on the next arrival
+                // beacon or expires.
                 let _ = self.maneuvers.complete_join(requester);
             }
         }
@@ -1991,9 +1945,8 @@ impl Engine {
 
     /// Marks `rx_idx` and all same-platoon vehicles behind it as members of
     /// `new_platoon`, promoting the frontmost to leader of the new platoon.
-    fn execute_split_membership(&mut self, rx_idx: usize, new_platoon: PlatoonId, now: f64) {
+    fn execute_split_membership(&mut self, rx_idx: usize, new_platoon: PlatoonId) {
         let old = self.world.vehicles[rx_idx].platoon;
-        let local_idx = self.world.platoon_local_index(rx_idx);
         let mut first_new: Option<usize> = None;
         for idx in rx_idx..self.world.vehicles.len() {
             if self.world.vehicles[idx].platoon == old {
@@ -2012,13 +1965,6 @@ impl Engine {
             self.world.vehicles[front].comm = CommState::default();
         }
         self.next_platoon_id = self.next_platoon_id.max(new_platoon.0 + 1);
-        self.events.push(
-            now,
-            Event::Split {
-                at_index: local_idx,
-                new_platoon,
-            },
-        );
     }
 
     /// Fills `commands` (cleared first) with one command per vehicle.
@@ -2164,8 +2110,6 @@ impl Engine {
                     .safety
                     .observe(self.world.time, idx - 1, gap, rate);
                 if self.metrics.safety.collision_count() > before {
-                    self.events
-                        .push(self.world.time, Event::Collision { rear_index: idx });
                     Self::trace_into(
                         &mut self.tracer,
                         self.steps_run,
@@ -2224,7 +2168,6 @@ impl Engine {
         for idx in 0..n {
             let down = !self.world.vehicles[idx].platooning_enabled;
             if down && !self.service_was_down[idx] {
-                self.events.push(now, Event::ServiceDown { vehicle: idx });
                 Self::trace_into(
                     &mut self.tracer,
                     self.steps_run,
@@ -2300,7 +2243,6 @@ impl Engine {
             detections: self.detections,
             mean_abs_spacing_error: mean_abs,
             perf: self.perf,
-            events_dropped: self.events.dropped(),
             trace: self.tracer.as_ref().map(TraceRecorder::digest),
         }
     }
@@ -2344,6 +2286,30 @@ mod tests {
             assert_eq!(world.index_of_node(rsu.node), None, "{:?}", rsu.node);
         }
         assert_eq!(world.rsus[0].node, NodeId(10_010));
+    }
+
+    #[test]
+    fn merge_is_refused_whole_when_the_lead_roster_lacks_room() {
+        let scenario = Scenario::builder()
+            .vehicles(4)
+            .max_platoon_size(4)
+            .duration(10.0)
+            .build();
+        let mut engine = Engine::new(scenario);
+        engine.command_split(2).expect("valid split index");
+        for _ in 0..10 {
+            engine.step();
+        }
+        assert_eq!(engine.world.platoon_count(), 2, "the split took effect");
+        // A newcomer takes one of the two places the split freed.
+        engine
+            .maneuvers
+            .roster_mut()
+            .admit_tail(PrincipalId(99))
+            .expect("room after the split");
+        assert_eq!(engine.command_merge(), 0);
+        assert_eq!(engine.world.platoon_count(), 2, "nothing merged");
+        assert_eq!(engine.maneuvers.roster().len(), 3);
     }
 
     #[test]

@@ -47,25 +47,12 @@ impl<T> JobOutcome<T> {
         }
     }
 
-    /// Consumes the outcome, yielding the value if the job succeeded.
-    pub fn into_ok(self) -> Option<T> {
-        match self {
-            JobOutcome::Ok(v) => Some(v),
-            JobOutcome::Failed { .. } => None,
-        }
-    }
-
     /// The failure reason, if the job failed.
     pub fn failure(&self) -> Option<&str> {
         match self {
             JobOutcome::Ok(_) => None,
             JobOutcome::Failed { reason } => Some(reason),
         }
-    }
-
-    /// Whether the job failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, JobOutcome::Failed { .. })
     }
 }
 

@@ -424,7 +424,9 @@ pub fn write_run_summary(w: &mut json::Writer, s: &RunSummary) {
     });
     w.field_u64("rejected_messages", s.rejected_messages as u64);
     w.field_u64("detections", s.detections as u64);
-    w.field_u64("events_dropped", s.events_dropped);
+    // Always 0. The key stays only because perfbench pins these bytes: the
+    // pki_platoon and corridor_5000 digests and the service_grid document.
+    w.field_u64("events_dropped", 0);
     w.field_obj("perf", |w| s.perf.write_canonical(w));
     // Rendered only when a tracer was attached, so untraced goldens keep
     // their exact historical shape.

@@ -14,8 +14,9 @@
 //! * [`fault`] — the benign-fault hook trait implemented by `platoon-faults`
 //!   (burst loss, sensor outages, RSU blackouts, ...).
 //! * [`agents`] — benign traffic agents (e.g. a legitimate joiner).
-//! * [`metrics`] / [`events`] — what a run reports.
-//! * [`trace`] — the deterministic per-tick trace recorder and trace diff.
+//! * [`metrics`] — what a run reports.
+//! * [`trace`] — the deterministic per-tick trace recorder and trace diff:
+//!   the record of what happened during a run.
 //! * [`cli`] — the command-line layer every subcommand of the
 //!   `platoon-security` binary runs on.
 //!
@@ -46,7 +47,6 @@ pub mod attack;
 pub mod cli;
 pub mod defense;
 pub mod engine;
-pub mod events;
 pub mod exec;
 pub mod fault;
 pub mod harness;
@@ -64,7 +64,6 @@ pub mod prelude {
     pub use crate::attack::{Attack, NoAttack, SecurityAttribute};
     pub use crate::defense::{Defense, DetectionEvent, NoDefense, RejectReason};
     pub use crate::engine::{Engine, EngineSnapshot, ObservationSink, SnapshotError};
-    pub use crate::events::{Event, EventLog, LoggedEvent};
     pub use crate::fault::{Fault, NoFault};
     pub use crate::harness::{derive_seed, Batch, BatchEntry, BatchJob, BatchReport, JobOutcome};
     pub use crate::metrics::{
@@ -355,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn events_log_join_lifecycle() {
+    fn join_lifecycle_is_counted() {
         use platoon_crypto::cert::PrincipalId;
         use platoon_proto::messages::PlatoonId;
         use platoon_v2x::message::NodeId;
@@ -369,12 +368,7 @@ mod tests {
             PlatoonId(1),
             2.0,
         )));
-        engine.run();
-        assert!(
-            engine
-                .events()
-                .count(|e| matches!(e, Event::JoinAccepted { .. }))
-                >= 1
-        );
+        let summary = engine.run();
+        assert!(summary.maneuvers.joins_accepted >= 1);
     }
 }

@@ -141,11 +141,6 @@ pub struct RunSummary {
     pub mean_abs_spacing_error: f64,
     /// Deterministic engine work counters (see [`crate::perf`]).
     pub perf: PerfCounters,
-    /// Events dropped by the bounded [`EventLog`](crate::events::EventLog)
-    /// after it saturated. Non-zero means the `collisions`/`detections`
-    /// tallies above are *lower bounds* — surfaced here (and in the golden
-    /// snapshots) so saturation can never silently undercount again.
-    pub events_dropped: u64,
     /// Digest of the attached per-tick trace, when a
     /// [`TraceRecorder`](crate::trace::TraceRecorder) was attached.
     pub trace: Option<TraceDigest>,
@@ -394,7 +389,6 @@ mod tests {
             detections: 0,
             mean_abs_spacing_error: 0.0,
             perf: PerfCounters::default(),
-            events_dropped: 0,
             trace: None,
         };
         let line = s.one_line();

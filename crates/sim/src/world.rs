@@ -135,14 +135,12 @@ pub struct VehicleNode {
     pub hardened: bool,
     /// Whether the platooning service is operational (malware can disable).
     pub platooning_enabled: bool,
-    /// Lateral lane offset in metres (0 = platoon lane).
-    pub lane_offset: f64,
 }
 
 impl VehicleNode {
-    /// Radio position of the vehicle.
+    /// Radio position of the vehicle, on the platoon lane (`y = 0`).
     pub fn position(&self) -> Position {
-        (self.vehicle.state.position, self.lane_offset)
+        (self.vehicle.state.position, 0.0)
     }
 }
 
@@ -154,8 +152,6 @@ pub struct Rsu {
     pub node: NodeId,
     /// Fixed position.
     pub position: Position,
-    /// Whether this RSU is compromised (the "rogue RSU" open challenge).
-    pub compromised: bool,
 }
 
 /// Mutable world state threaded through the engine and the attack/defense

@@ -82,12 +82,6 @@ impl Payload {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// How many handles (frames, deliveries, caches) currently share these
-    /// bytes. 1 means this is the only copy.
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.0)
-    }
 }
 
 impl std::ops::Deref for Payload {

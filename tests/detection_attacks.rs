@@ -125,7 +125,14 @@ fn jamming_raises_a_channel_alarm() {
     );
     // Jamming is attributed to the channel, not pinned on an innocent
     // member (the §V-B "who do you blame" problem).
-    assert!(engine.events().count(|e| matches!(e, Event::ChannelAlarm)) >= 1);
+    assert!(
+        engine
+            .alerts()
+            .iter()
+            .all(|a| a.target == AlertTarget::Channel),
+        "no member is blamed for the jammer: {:?}",
+        engine.alerts()
+    );
 }
 
 #[test]
