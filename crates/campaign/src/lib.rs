@@ -16,7 +16,7 @@
 //! evolutionary refinement loop (tournament selection + Gaussian
 //! mutation). Every random draw derives from the campaign seed, so a
 //! campaign replays **byte-identically**: same seed, same candidates, same
-//! `CAMPAIGN_<label>.json`, pinned by golden and a CI byte-compare.
+//! `CAMPAIGN_<label>.json`, pinned by a golden and a same-seed replay test.
 //!
 //! Candidate evaluation is one
 //! [`JobSpec::Campaign`](platoon_server::job::JobSpec::Campaign) cell,

@@ -85,64 +85,50 @@ pub fn arm_truth(params: Option<&AttackParams>, effort: Effort, engine: &Engine)
     )
 }
 
-/// Applies a Table III mechanism to a scenario builder + engine: returns the
-/// adjusted builder, and a closure that plugs the defense modules in after
-/// engine construction.
+/// Applies a Table III mechanism: returns the scenario builder with the
+/// mechanism's scenario changes, and the defense modules to plug into the
+/// engine once it is built, in installation order.
 pub fn apply_mechanism(
     mechanism: &str,
     mut builder: ScenarioBuilder,
-) -> (ScenarioBuilder, Vec<&'static str>) {
-    // Returns the module names to instantiate post-construction.
-    match mechanism {
+) -> (ScenarioBuilder, Vec<Box<dyn Defense>>) {
+    let defenses: Vec<Box<dyn Defense>> = match mechanism {
         "keys" => {
             builder = builder.auth(AuthMode::Pki);
-            (builder, vec!["anti-replay"])
+            vec![Box::new(AntiReplayDefense::timestamp())]
         }
         "keys-encrypted" => {
             builder = builder.auth(AuthMode::EncryptedGroupMac);
-            (builder, vec!["anti-replay"])
+            vec![Box::new(AntiReplayDefense::timestamp())]
         }
         "rsu-gatekeeper" => {
             for i in 0..8 {
                 builder = builder.rsu((i as f64 * 300.0, 8.0));
             }
-            (builder, vec!["rsu"])
+            vec![Box::new(RsuDefense::new(RsuConfig {
+                preregistered: vec![600],
+                ..Default::default()
+            }))]
         }
-        "control-algorithms" => (builder, vec!["vpd-ada", "mitigation"]),
+        "control-algorithms" => vec![
+            Box::new(VpdAdaDefense::new(VpdAdaConfig::strict())),
+            Box::new(MitigationDefense::new(MitigationConfig::default())),
+        ],
         // Resilient control only (Petrillo et al. [7]) — used for the
         // replay/insider pairs, where eviction-style detection would push
         // the platoon into radar fallback and inflate the spacing metric.
-        "control-mitigation" => (builder, vec!["mitigation"]),
+        "control-mitigation" => vec![Box::new(
+            MitigationDefense::new(MitigationConfig::default()),
+        )],
         "hybrid-sp-vlc" => {
             builder = builder.comms(CommsMode::HybridVlc);
-            (builder, vec!["hybrid"])
+            vec![Box::new(HybridConfirmDefense::new(HybridConfig::default()))]
         }
-        "onboard-hardening" => (builder, vec!["onboard"]),
-        "trust" => (builder, vec!["trust"]),
+        "onboard-hardening" => vec![Box::new(OnboardDefense::new(OnboardConfig::default()))],
+        "trust" => vec![Box::new(TrustDefense::new(TrustConfig::default()))],
         other => panic!("unknown mechanism {other}"),
-    }
-}
-
-/// Instantiates the defense modules named by [`apply_mechanism`].
-pub fn make_defenses(modules: &[&str]) -> Vec<Box<dyn Defense>> {
-    modules
-        .iter()
-        .map(|m| -> Box<dyn Defense> {
-            match *m {
-                "anti-replay" => Box::new(AntiReplayDefense::timestamp()),
-                "rsu" => Box::new(RsuDefense::new(RsuConfig {
-                    preregistered: vec![600],
-                    ..Default::default()
-                })),
-                "vpd-ada" => Box::new(VpdAdaDefense::new(VpdAdaConfig::strict())),
-                "mitigation" => Box::new(MitigationDefense::new(MitigationConfig::default())),
-                "hybrid" => Box::new(HybridConfirmDefense::new(HybridConfig::default())),
-                "onboard" => Box::new(OnboardDefense::new(OnboardConfig::default())),
-                "trust" => Box::new(TrustDefense::new(TrustConfig::default())),
-                other => panic!("unknown defense module {other}"),
-            }
-        })
-        .collect()
+    };
+    (builder, defenses)
 }
 
 /// The legitimate joiner used by the availability experiments.
@@ -280,10 +266,10 @@ pub fn build_arm(
     if matches!(arm, "replay" | "insider-fdi") {
         builder = builder.profile(brake_profile());
     }
-    let modules = if let Some(m) = mechanism {
-        let (b, modules) = apply_mechanism(m, builder);
+    let defenses = if let Some(m) = mechanism {
+        let (b, defenses) = apply_mechanism(m, builder);
         builder = b;
-        modules
+        defenses
     } else {
         Vec::new()
     };
@@ -315,7 +301,7 @@ pub fn build_arm(
         };
         engine.add_attack(Box::new(joiner));
     }
-    for d in make_defenses(&modules) {
+    for d in defenses {
         engine.add_defense(d);
     }
     engine
@@ -328,9 +314,9 @@ mod tests {
     #[test]
     fn every_mechanism_applies() {
         for m in platoon_defense::registry::catalog() {
-            let (b, modules) = apply_mechanism(m.name, base_scenario("t", Effort::quick()));
+            let (b, defenses) = apply_mechanism(m.name, base_scenario("t", Effort::quick()));
             let _ = b.build();
-            let _ = make_defenses(&modules);
+            assert!(!defenses.is_empty(), "{} deploys no defense", m.name);
         }
     }
 

@@ -14,24 +14,23 @@
 //!   past the DSRC nominal range), which switches the medium to the
 //!   [`platoon_v2x::spatial::SpatialGrid`] range-query path.
 //!
-//! The cells land in two documents: `CORRIDOR_<label>.json` (the canonical
-//! batch document of [`RunSummary`]s — the golden-snapshot unit) and
-//! `BENCH_corridor_<label>.json` (wall times plus the deterministic
-//! `pairs_considered` work counter, which is what the indexed path
-//! provably shrinks). Summaries are byte-identical across worker counts
-//! *and* engine thread counts; only the wall numbers vary.
+//! The cells land in `CORRIDOR_<label>.json`, the canonical batch document
+//! of [`RunSummary`]s and the golden-snapshot unit. Each cell also keeps
+//! the deterministic `pairs_considered` work counter, which is what the
+//! indexed path provably shrinks ([`CorridorReport::check_speedup`]).
+//! Summaries are byte-identical across worker counts *and* engine thread
+//! counts. Wall time is measured by the `perfbench/` package.
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_proto::messages::PlatoonId;
-use platoon_sim::cli::{self, Args, Command, Exit, Flag};
+use platoon_sim::cli::{self, Args, Command, Exit};
 use platoon_sim::engine::Engine;
-use platoon_sim::harness::{golden, json, Batch, BatchReport, JobOutcome};
+use platoon_sim::harness::{Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{
     steps_for, AuthMode, JoinerAgent, JoinerCredentials, RunSummary, Scenario, ScenarioBuilder,
 };
 use platoon_sim::trace::TraceRecorder;
 use platoon_v2x::message::NodeId;
-use std::time::Instant;
 
 /// Base seed of the corridor grid (cell seeds derive from the labels).
 pub const CORRIDOR_BASE_SEED: u64 = 0xC0 + 2021;
@@ -89,8 +88,6 @@ pub struct CorridorRun {
     pub vehicles: usize,
     /// Cumulative RF (frame, receiver) pairs the medium sampled.
     pub pairs_considered: u64,
-    /// Wall-clock milliseconds of the engine loop.
-    pub wall_ms: f64,
 }
 
 /// Runs one corridor arm: [`corridor_engine`] driven by [`drive_corridor`].
@@ -158,7 +155,6 @@ pub fn drive_corridor(engine: &mut Engine) -> CorridorRun {
     let steps = steps_for(scenario.duration, scenario.comm_step);
     let split_at = steps / 3;
     let merge_at = steps * 2 / 3;
-    let t0 = Instant::now();
     for step in engine.steps_run()..steps {
         if step == split_at && per >= 4 {
             // Split the lead platoon in half (platoon-local index).
@@ -172,12 +168,10 @@ pub fn drive_corridor(engine: &mut Engine) -> CorridorRun {
         engine.step();
     }
     engine.restore_faults();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     CorridorRun {
         summary: engine.summary(),
         vehicles: engine.world().vehicles.len(),
         pairs_considered: engine.medium_pairs_considered(),
-        wall_ms,
     }
 }
 
@@ -208,7 +202,7 @@ pub fn grid(quick: bool) -> &'static [CellSpec] {
 
 /// The quick grid: one mid-size corridor in both medium configurations
 /// (48 vehicles — big enough that the index visibly shrinks the pair
-/// count, small enough for the CI smoke budget).
+/// count, small enough for a unit test).
 const QUICK_GRID: &[CellSpec] = &[
     CellSpec {
         label: "corridor/indexed/6x8",
@@ -226,9 +220,8 @@ const QUICK_GRID: &[CellSpec] = &[
     },
 ];
 
-/// The full grid adds a wider corridor for a stable wall-time comparison
-/// and a highway-scale cell (5000 vehicles) that only the indexed path
-/// can afford.
+/// The full grid adds a wider corridor and a highway-scale cell (5000
+/// vehicles) that only the indexed path can afford.
 const FULL_GRID: &[CellSpec] = &[
     CellSpec {
         label: "corridor/indexed/6x8",
@@ -267,8 +260,7 @@ const FULL_GRID: &[CellSpec] = &[
     },
 ];
 
-/// Perf sidecar of one cell (everything except `wall_ms` is
-/// deterministic).
+/// The work counters of one completed cell.
 #[derive(Clone, Debug)]
 pub struct CorridorCell {
     /// Cell label (seed derivation input).
@@ -281,8 +273,6 @@ pub struct CorridorCell {
     pub indexed: bool,
     /// Cumulative RF pairs the medium sampled (deterministic).
     pub pairs_considered: u64,
-    /// Wall-clock milliseconds (machine-dependent).
-    pub wall_ms: f64,
 }
 
 /// A completed corridor experiment.
@@ -290,11 +280,9 @@ pub struct CorridorCell {
 pub struct CorridorReport {
     /// Document label (`quick` / `full`).
     pub label: String,
-    /// Engine threads every cell ran with.
-    pub threads: usize,
     /// The canonical batch document of summaries (the golden unit).
     pub report: BatchReport,
-    /// Perf sidecar, in grid order.
+    /// Work counters of the completed cells, in grid order.
     pub cells: Vec<CorridorCell>,
 }
 
@@ -335,7 +323,6 @@ pub fn run_with(quick: bool, workers: usize, threads: usize) -> CorridorReport {
                             vehicles: run.vehicles,
                             indexed: spec.horizon.is_some(),
                             pairs_considered: run.pairs_considered,
-                            wall_ms: run.wall_ms,
                         });
                         JobOutcome::Ok(run.summary)
                     }
@@ -346,7 +333,6 @@ pub fn run_with(quick: bool, workers: usize, threads: usize) -> CorridorReport {
     };
     CorridorReport {
         label: if quick { "quick" } else { "full" }.to_string(),
-        threads,
         report,
         cells,
     }
@@ -380,50 +366,6 @@ impl CorridorReport {
             .collect()
     }
 
-    /// The `BENCH_corridor_<label>.json` document: wall times plus the
-    /// deterministic pair counters, with the indexed-vs-allpairs ratios
-    /// for every matched corridor.
-    pub fn bench_document(&self) -> String {
-        let mut w = json::Writer::new();
-        w.obj(|w| {
-            w.field_str("label", &self.label);
-            w.field_u64("base_seed", CORRIDOR_BASE_SEED);
-            w.field_u64("threads", self.threads as u64);
-            w.field_arr("cells", |w| {
-                for c in &self.cells {
-                    w.elem(|w| {
-                        w.obj(|w| {
-                            w.field_str("label", &c.label);
-                            w.field_u64("seed", c.seed);
-                            w.field_u64("vehicles", c.vehicles as u64);
-                            w.field_bool("indexed", c.indexed);
-                            w.field_u64("pairs_considered", c.pairs_considered);
-                            w.field_f64("wall_ms", c.wall_ms);
-                        })
-                    });
-                }
-            });
-            w.field_arr("comparisons", |w| {
-                for (ic, ac) in self.matched_pairs() {
-                    w.elem(|w| {
-                        w.obj(|w| {
-                            w.field_str("corridor", &ic.label);
-                            w.field_u64("indexed_pairs", ic.pairs_considered);
-                            w.field_u64("allpairs_pairs", ac.pairs_considered);
-                            w.field_f64(
-                                "pairs_ratio",
-                                ic.pairs_considered as f64 / ac.pairs_considered.max(1) as f64,
-                            );
-                            w.field_f64("indexed_wall_ms", ic.wall_ms);
-                            w.field_f64("allpairs_wall_ms", ac.wall_ms);
-                        })
-                    });
-                }
-            });
-        });
-        w.finish()
-    }
-
     /// Asserts the indexed medium did strictly less pair work than the
     /// all-pairs scan on every matched corridor. Returns the failures
     /// (empty = the index earns its keep).
@@ -448,64 +390,36 @@ impl CorridorReport {
 /// The `corridor` subcommand.
 pub const COMMAND: Command = Command {
     name: "corridor",
-    summary: "multi-platoon highway corridor, written to CORRIDOR_<label>.json and BENCH_corridor_<label>.json",
+    summary: "multi-platoon highway corridor, written to CORRIDOR_<label>.json",
     operands: &[],
-    flags: &[
-        cli::QUICK,
-        cli::WORKERS,
-        cli::OUT,
-        cli::CHECK_GOLDEN,
-        Flag::value(
-            "--threads",
-            "N",
-            "intra-run engine threads (default: 1; never changes results)",
-        ),
-        Flag::switch(
-            "--assert-speedup",
-            "fail unless the indexed medium sampled fewer pairs than all-pairs",
-        ),
-    ],
+    flags: &[cli::QUICK, cli::WORKERS, cli::OUT],
     run: cli_main,
 };
 
 fn cli_main(args: &mut Args) -> Result<(), Exit> {
     let workers = args.workers()?;
-    let threads = args.parse("--threads")?.unwrap_or(1);
     eprintln!(
-        "running corridor grid ({} effort, {workers} workers, {threads} engine thread(s))...",
+        "running corridor grid ({} effort, {workers} workers)...",
         args.label()
     );
-    let report = run_with(args.quick(), workers, threads);
+    let report = run_with(args.quick(), workers, 1);
     args.job_failures(report.report.failures());
     for c in &report.cells {
         eprintln!(
-            "  {:<26} {:>5} vehicles  {:>12} pairs  {:>9.1} ms",
-            c.label, c.vehicles, c.pairs_considered, c.wall_ms
+            "  {:<26} {:>5} vehicles  {:>12} pairs",
+            c.label, c.vehicles, c.pairs_considered
         );
     }
-    let document = to_canonical_json(&report);
-    args.write(&format!("CORRIDOR_{}.json", report.label), &document)?;
     args.write(
-        &format!("BENCH_corridor_{}.json", report.label),
-        report.bench_document(),
-    )?;
-    args.check_golden(&document, golden::Tolerance::snapshot());
-    if args.switch("--assert-speedup") {
-        let failures = report.check_speedup();
-        if failures.is_empty() {
-            eprintln!("indexed medium beat the all-pairs scan on every matched corridor");
-        }
-        for f in failures {
-            args.fail(format_args!("speedup assertion failed: {f}"));
-        }
-    }
-    Ok(())
+        &format!("CORRIDOR_{}.json", report.label),
+        to_canonical_json(&report),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
     use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
@@ -519,18 +433,14 @@ mod tests {
             one.report.failures().next().is_none(),
             "corridor cells must complete"
         );
-        golden::assert_matches(
-            &golden_path(),
-            &to_canonical_json(&one),
-            Tolerance::snapshot(),
-        );
+        golden::assert_matches(&golden_path(), &to_canonical_json(&one));
         // The indexed arm did strictly less medium work.
         assert!(one.check_speedup().is_empty(), "{:?}", one.check_speedup());
         // Summaries (and so the canonical document) are invariant across
         // harness worker counts AND engine thread counts.
         let wide = run_with(true, 4, 3);
         assert_eq!(to_canonical_json(&one), to_canonical_json(&wide));
-        // The deterministic side of the bench document is invariant too.
+        // The work counters are invariant too.
         for (a, b) in one.cells.iter().zip(&wide.cells) {
             assert_eq!(a.pairs_considered, b.pairs_considered, "{}", a.label);
             assert_eq!(a.vehicles, b.vehicles);
@@ -552,25 +462,5 @@ mod tests {
         // 0.25 s at 0.1 s ticks is two whole ticks; rounding ran a third.
         let run = corridor_arm("corridor/half-step", 4, 2, 0.25, CORRIDOR_HORIZON_M, 1, 7);
         assert_eq!(run.summary.perf.ticks, steps_for(0.25, 0.1));
-    }
-
-    #[test]
-    fn bench_document_parses_and_carries_ratios() {
-        let report = run_with(true, 2, 1);
-        let doc = report.bench_document();
-        let parsed = json::parse(&doc).expect("bench document parses");
-        let comparisons = match parsed.get("comparisons") {
-            Some(json::Value::Arr(c)) => c,
-            _ => panic!("no comparisons array"),
-        };
-        assert_eq!(comparisons.len(), 1);
-        let ratio = comparisons[0]
-            .get("pairs_ratio")
-            .and_then(json::Value::as_f64)
-            .expect("pairs_ratio present");
-        assert!(
-            ratio > 0.0 && ratio < 1.0,
-            "indexed/allpairs pair ratio should be a real saving, got {ratio}"
-        );
     }
 }

@@ -19,10 +19,10 @@
 //! profile pays its false positives — the cruise profile must measurably
 //! degrade in stop-and-go while the regime-aware profile stays quiet.
 //!
-//! The experiment doubles as the harness for the engine's
-//! snapshot/fast-forward machinery: [`resume_check`] renders a straight
-//! run and an interrupted-snapshot-restored-resumed run of the same arm to
-//! canonical documents that must be byte-identical.
+//! The experiment's tests double as a check of the engine's
+//! snapshot/fast-forward machinery: a straight run and an
+//! interrupted-snapshot-restored-resumed run of the same arm must render
+//! byte-identical canonical documents.
 
 use super::common::{arm_params, arm_truth, base_scenario, Effort, EXPERIMENT_BASE_SEED};
 use super::table4::profile_for;
@@ -32,12 +32,10 @@ use platoon_detect::kinematic::KinematicConfig;
 use platoon_detect::pipeline::PipelineConfig;
 use platoon_dynamics::profiles::SpeedProfile;
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
-use platoon_sim::harness::{golden, json, write_detection_summary, write_run_summary, Batch};
+use platoon_sim::harness::{json, write_detection_summary, Batch};
 use platoon_sim::prelude::{
-    score_alerts, steps_for, DetectionSummary, Engine, RegimePhase, RegimePlan, RunSummary,
-    TruthLabels,
+    score_alerts, DetectionSummary, Engine, RegimePhase, RegimePlan, TruthLabels,
 };
-use platoon_sim::trace::TraceRecorder;
 
 /// Detector profiles compared by the experiment.
 pub const PROFILES: [&str; 2] = ["cruise", "regime-aware"];
@@ -319,55 +317,6 @@ pub fn to_canonical_json(report: &RegimeReport) -> String {
     w.finish()
 }
 
-/// Renders one finished run (summary + end-state digest) to a canonical
-/// document — the byte-comparison unit of [`resume_check`].
-fn final_state_document(summary: &RunSummary, engine: &Engine) -> String {
-    let mut w = json::Writer::new();
-    w.obj(|w| {
-        w.field_obj("summary", |w| write_run_summary(w, summary));
-        w.field_str("state_digest", &format!("{:016x}", engine.state_digest()));
-    });
-    w.finish()
-}
-
-/// Runs the canonical regime arm straight through, then again interrupted
-/// at one third of the run — snapshot, restore, resume — and returns both
-/// final-state documents. The two must be byte-identical: the snapshot
-/// carries the *entire* engine state (world, rng, detector tracks, trace
-/// digest), so resuming can neither lose nor replay a single tick.
-pub fn resume_check(quick: bool, seed: u64) -> (String, String) {
-    let effort = Effort::new(quick);
-    let build = || {
-        let mut engine = Engine::new(
-            base_scenario("regime/resume", effort)
-                .seed(seed)
-                .regimes(plan_for(effort))
-                .build(),
-        );
-        let insider = arm_params("insider-fdi").expect("an attack arm");
-        engine.add_attack(insider.build(effort.duration));
-        engine.attach_detector_config(profile_for("regime-aware"));
-        engine.attach_tracer(TraceRecorder::new());
-        engine
-    };
-
-    let mut straight = build();
-    let straight_summary = straight.run();
-    let straight_doc = final_state_document(&straight_summary, &straight);
-
-    let mut interrupted = build();
-    let scenario = interrupted.scenario().clone();
-    let total = steps_for(scenario.duration, scenario.comm_step);
-    interrupted.fast_forward(total / 3);
-    let snapshot = interrupted.snapshot().expect("regime engine snapshots");
-    drop(interrupted);
-    let mut resumed = snapshot.restore().expect("snapshot restores");
-    let resumed_summary = resumed.run();
-    let resumed_doc = final_state_document(&resumed_summary, &resumed);
-
-    (straight_doc, resumed_doc)
-}
-
 /// The `regimes` subcommand.
 pub const COMMAND: Command = Command {
     name: "regimes",
@@ -377,15 +326,10 @@ pub const COMMAND: Command = Command {
         cli::QUICK,
         cli::WORKERS,
         cli::OUT,
-        cli::CHECK_GOLDEN,
         Flag::value(
             "--seed",
             "N",
             "pin the run seed (default: the experiment base seed)",
-        ),
-        Flag::switch(
-            "--resume-check",
-            "also check snapshot/restore/resume byte identity (REGIME_resume_*.json)",
         ),
     ],
     run: cli_main,
@@ -414,31 +358,72 @@ fn cli_main(args: &mut Args) -> Result<(), Exit> {
                 .join(" ")
         );
     }
-    let document = to_canonical_json(&report);
-    args.write(&format!("REGIME_{}.json", args.label()), &document)?;
-    args.check_golden(&document, golden::Tolerance::snapshot());
-
-    if args.switch("--resume-check") {
-        let (straight, resumed) = resume_check(quick, seed.unwrap_or(EXPERIMENT_BASE_SEED));
-        args.write("REGIME_resume_straight.json", &straight)?;
-        args.write("REGIME_resume_resumed.json", &resumed)?;
-        if straight == resumed {
-            eprintln!("resume check: straight and resumed runs are byte-identical");
-        } else {
-            args.fail("resume check FAILED: straight and resumed documents differ");
-        }
-    }
-    Ok(())
+    args.write(
+        &format!("REGIME_{}.json", args.label()),
+        to_canonical_json(&report),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::{golden, write_run_summary};
+    use platoon_sim::prelude::{steps_for, RunSummary};
+    use platoon_sim::trace::TraceRecorder;
     use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/regime_quick.json")
+    }
+
+    /// Renders one finished run (summary + end-state digest) to a canonical
+    /// document — the byte-comparison unit of `resume_check`.
+    fn final_state_document(summary: &RunSummary, engine: &Engine) -> String {
+        let mut w = json::Writer::new();
+        w.obj(|w| {
+            w.field_obj("summary", |w| write_run_summary(w, summary));
+            w.field_str("state_digest", &format!("{:016x}", engine.state_digest()));
+        });
+        w.finish()
+    }
+
+    /// Runs the canonical quick regime arm straight through, then again
+    /// interrupted at one third of the run — snapshot, restore, resume —
+    /// and returns both final-state documents. The two must be
+    /// byte-identical: the snapshot carries the *entire* engine state
+    /// (world, rng, detector tracks, trace digest), so resuming can neither
+    /// lose nor replay a single tick.
+    fn resume_check() -> (String, String) {
+        let effort = Effort::quick();
+        let build = || {
+            let mut engine = Engine::new(
+                base_scenario("regime/resume", effort)
+                    .seed(EXPERIMENT_BASE_SEED)
+                    .regimes(plan_for(effort))
+                    .build(),
+            );
+            let insider = arm_params("insider-fdi").expect("an attack arm");
+            engine.add_attack(insider.build(effort.duration));
+            engine.attach_detector_config(profile_for("regime-aware"));
+            engine.attach_tracer(TraceRecorder::new());
+            engine
+        };
+
+        let mut straight = build();
+        let straight_summary = straight.run();
+        let straight_doc = final_state_document(&straight_summary, &straight);
+
+        let mut interrupted = build();
+        let scenario = interrupted.scenario().clone();
+        let total = steps_for(scenario.duration, scenario.comm_step);
+        interrupted.fast_forward(total / 3);
+        let snapshot = interrupted.snapshot().expect("regime engine snapshots");
+        drop(interrupted);
+        let mut resumed = snapshot.restore().expect("snapshot restores");
+        let resumed_summary = resumed.run();
+        let resumed_doc = final_state_document(&resumed_summary, &resumed);
+
+        (straight_doc, resumed_doc)
     }
 
     fn row<'a>(report: &'a RegimeReport, profile: &str, attack: &str) -> &'a RegimeRow {
@@ -482,11 +467,7 @@ mod tests {
             );
         }
 
-        golden::assert_matches(
-            &golden_path(),
-            &to_canonical_json(&report),
-            Tolerance::snapshot(),
-        );
+        golden::assert_matches(&golden_path(), &to_canonical_json(&report));
     }
 
     #[test]
@@ -498,7 +479,7 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_byte_identically() {
-        let (straight, resumed) = resume_check(true, EXPERIMENT_BASE_SEED);
+        let (straight, resumed) = resume_check();
         assert_eq!(
             straight, resumed,
             "snapshot/restore/resume must reproduce the straight run byte for byte"

@@ -23,9 +23,9 @@ use crate::tables::{num, TextTable};
 use platoon_faults::{
     BurstPacketLoss, ClockSkew, FaultWindow, NoiseFloorRamp, RsuBlackout, SensorOutage,
 };
-use platoon_sim::cli::{self, Args, Command, Exit, Flag};
+use platoon_sim::cli::{self, Args, Command, Exit};
 use platoon_sim::fault::{Fault, NoFault};
-use platoon_sim::harness::{golden, json, Batch};
+use platoon_sim::harness::{json, Batch};
 use platoon_sim::prelude::{per_frame_ratio, score_alerts, DetectionSummary, Engine, RunSummary};
 
 /// Fault arms swept by the experiment ("none" is the clean control).
@@ -169,11 +169,11 @@ pub struct RobustnessReport {
 /// Runs the robustness grid with explicit worker count and, optionally, a
 /// deliberately panicking job appended to the batch.
 ///
-/// The injected job (label `inject/panic`) is the CI proof that the harness
-/// is crash-isolated: the batch must still exit cleanly, report every real
-/// cell, and record the failure under `failed_jobs` in the canonical
-/// document. It is appended *after* the grid jobs, so the positional
-/// aggregation of real arms is unaffected.
+/// The injected job (label `inject/panic`) is the unit tests' proof that
+/// the harness is crash-isolated: the batch must still complete, report
+/// every real cell, and record the failure under `failed_jobs` in the
+/// canonical document. It is appended *after* the grid jobs, so the
+/// positional aggregation of real arms is unaffected.
 pub fn run_with(quick: bool, workers: usize, inject_panic: bool) -> RobustnessReport {
     let effort = Effort::new(quick);
     let mut batch: Batch<RobustnessCell> = Batch::new(EXPERIMENT_BASE_SEED);
@@ -306,53 +306,34 @@ pub const COMMAND: Command = Command {
     name: "robustness",
     summary: "detection quality under benign faults, written to ROBUSTNESS_<label>.json",
     operands: &[],
-    flags: &[
-        cli::QUICK,
-        cli::WORKERS,
-        cli::OUT,
-        cli::CHECK_GOLDEN,
-        Flag::switch(
-            "--inject-panic",
-            "append a deliberately panicking job (recorded; the run still exits 0)",
-        ),
-    ],
+    flags: &[cli::QUICK, cli::WORKERS, cli::OUT],
     run: cli_main,
 };
 
 fn cli_main(args: &mut Args) -> Result<(), Exit> {
     let workers = args.workers()?;
-    let inject_panic = args.switch("--inject-panic");
     eprintln!(
-        "running robustness grid ({} effort, {workers} workers{})...",
-        args.label(),
-        if inject_panic {
-            ", with an injected panic"
-        } else {
-            ""
-        }
+        "running robustness grid ({} effort, {workers} workers)...",
+        args.label()
     );
-    let report = run_with(args.quick(), workers, inject_panic);
+    let report = run_with(args.quick(), workers, false);
     println!("{}", render(&report).render());
-    for (job, reason) in &report.failed_jobs {
-        if job == INJECTED_JOB {
-            // The crash-isolation check: recorded, and the run still exits 0.
-            eprintln!("failed job {job:?}: {reason} (injected)");
-        } else {
-            args.fail(format_args!("failed job {job:?}: {reason}"));
-        }
-    }
+    args.job_failures(
+        report
+            .failed_jobs
+            .iter()
+            .map(|(job, reason)| (job.as_str(), reason.as_str())),
+    );
     args.write(
         &format!("ROBUSTNESS_{}.json", args.label()),
         to_canonical_json(&report),
-    )?;
-    args.check_golden(&to_canonical_json(&report), golden::Tolerance::snapshot());
-    Ok(())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
     use std::path::{Path, PathBuf};
 
     fn golden_path() -> PathBuf {
@@ -408,11 +389,7 @@ mod tests {
             degraded_detecting >= 3,
             "detection collapsed under faults: only {degraded_detecting}/5 arms still detect"
         );
-        golden::assert_matches(
-            &golden_path(),
-            &to_canonical_json(&report),
-            Tolerance::snapshot(),
-        );
+        golden::assert_matches(&golden_path(), &to_canonical_json(&report));
     }
 
     #[test]

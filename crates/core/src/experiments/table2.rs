@@ -172,10 +172,10 @@ mod tests {
 
     #[test]
     fn quick_table_matches_golden() {
-        use platoon_sim::harness::golden::{self, Tolerance};
+        use platoon_sim::harness::golden;
         let rows = run(true);
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../tests/golden/table2_quick.json");
-        golden::assert_matches(&path, &to_canonical_json(&rows), Tolerance::snapshot());
+        golden::assert_matches(&path, &to_canonical_json(&rows));
     }
 }

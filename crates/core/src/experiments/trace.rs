@@ -16,7 +16,7 @@ use super::common::{arm_params, base_scenario, Effort, EXPERIMENT_BASE_SEED};
 use super::robustness::make_fault;
 use super::table4::profile_for;
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
-use platoon_sim::harness::{golden, Batch, BatchReport, JobOutcome};
+use platoon_sim::harness::{Batch, BatchReport, JobOutcome};
 use platoon_sim::prelude::{Engine, RunSummary};
 use platoon_sim::trace::{diff_traces, TraceRecorder};
 
@@ -142,7 +142,6 @@ pub const COMMAND: Command = Command {
         cli::QUICK,
         cli::WORKERS,
         cli::OUT,
-        cli::CHECK_GOLDEN,
         Flag::value(
             "--attack",
             "NAME",
@@ -174,11 +173,8 @@ fn cli_main(args: &mut Args) -> Result<(), Exit> {
             );
         }
     }
-    let document = to_canonical_json(&report);
-    args.write(&format!("TRACE_{label}.json"), &document)?;
-    args.write(&format!("TRACE_{label}.jsonl"), &report.jsonl)?;
-    args.check_golden(&document, golden::Tolerance::snapshot());
-    Ok(())
+    args.write(&format!("TRACE_{label}.json"), to_canonical_json(&report))?;
+    args.write(&format!("TRACE_{label}.jsonl"), &report.jsonl)
 }
 
 /// The `trace-diff` subcommand: byte-compares two JSONL traces.
@@ -209,7 +205,7 @@ fn diff_cli_main(args: &mut Args) -> Result<(), Exit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use platoon_sim::harness::golden::Tolerance;
+    use platoon_sim::harness::golden;
     use platoon_sim::trace::END_OF_TRACE;
     use std::path::{Path, PathBuf};
 
@@ -240,11 +236,7 @@ mod tests {
                 "no {phase}-phase records in the trace"
             );
         }
-        golden::assert_matches(
-            &golden_path(),
-            &to_canonical_json(&report),
-            Tolerance::snapshot(),
-        );
+        golden::assert_matches(&golden_path(), &to_canonical_json(&report));
     }
 
     #[test]

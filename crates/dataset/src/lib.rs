@@ -17,8 +17,7 @@
 //!   train split, and Table IV-style scoring of the learned detector
 //!   head-to-head with the rule-based pipeline.
 //! * [`cli`] — the `dataset` subcommand: writes the shards plus the
-//!   canonical `DATASET_<label>.json` summary, with a `--check-golden`
-//!   gate.
+//!   canonical `DATASET_<label>.json` summary (golden-pinned by its test).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

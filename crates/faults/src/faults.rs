@@ -12,36 +12,6 @@ use platoon_dynamics::sensors::SensorFault;
 use platoon_sim::fault::Fault;
 use platoon_sim::world::{Rsu, World};
 use platoon_v2x::vlc::VLC_OUTAGE_PER_DB;
-/// Which physical channel(s) a channel-degradation fault touches.
-///
-/// Weather fronts and interference degrade every active medium, not just
-/// 802.11p — a hybrid DSRC+VLC platoon driving into fog loses both the RF
-/// link *and* the optical one. The default therefore hits all media; the
-/// narrow variants exist for experiments that isolate one channel (e.g. a
-/// jammer study that must leave the VLC fallback clean).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ChannelTarget {
-    /// Every active medium: the DSRC noise floor plus the VLC
-    /// ambient-outage rate ([`VLC_OUTAGE_PER_DB`] per dB).
-    #[default]
-    All,
-    /// 802.11p only (the historical behaviour).
-    DsrcOnly,
-    /// The optical channel only.
-    VlcOnly,
-}
-
-impl ChannelTarget {
-    /// Whether the target includes the DSRC channel.
-    pub fn hits_dsrc(self) -> bool {
-        matches!(self, ChannelTarget::All | ChannelTarget::DsrcOnly)
-    }
-
-    /// Whether the target includes the VLC channel.
-    pub fn hits_vlc(self) -> bool {
-        matches!(self, ChannelTarget::All | ChannelTarget::VlcOnly)
-    }
-}
 
 /// Rain-fade style burst packet loss: raises the DSRC noise floor by a fixed
 /// number of dB while any window is active.
@@ -94,10 +64,10 @@ impl Fault for BurstPacketLoss {
 
 /// A slow channel degradation: the noise environment climbs linearly from
 /// `start` at `rate_db_per_s`, capped at `cap_db` above its base value.
-/// The dB figure raises the DSRC noise floor directly and — unless a
-/// narrower [`ChannelTarget`] is selected — degrades the optical channel
-/// too, at [`VLC_OUTAGE_PER_DB`] ambient-outage probability per dB (the
-/// optical link has no RF noise floor to raise).
+/// The dB figure raises the DSRC noise floor directly and degrades the
+/// optical channel too, at [`VLC_OUTAGE_PER_DB`] ambient-outage
+/// probability per dB (the optical link has no RF noise floor to raise),
+/// so a hybrid DSRC+VLC platoon driving into fog loses both links.
 ///
 /// Models the gradual onsets (weather fronts, growing interference) that
 /// threshold detectors confuse with low-power jamming.
@@ -106,7 +76,6 @@ pub struct NoiseFloorRamp {
     start: f64,
     rate_db_per_s: f64,
     cap_db: f64,
-    target: ChannelTarget,
     applied_db: f64,
     applied_outage: f64,
 }
@@ -119,16 +88,9 @@ impl NoiseFloorRamp {
             start,
             rate_db_per_s,
             cap_db,
-            target: ChannelTarget::default(),
             applied_db: 0.0,
             applied_outage: 0.0,
         }
-    }
-
-    /// Narrows the ramp to specific channel(s).
-    pub fn targeting(mut self, target: ChannelTarget) -> Self {
-        self.target = target;
-        self
     }
 }
 
@@ -143,15 +105,11 @@ impl Fault for NoiseFloorRamp {
         } else {
             (self.rate_db_per_s * (now - self.start)).clamp(0.0, self.cap_db)
         };
-        if self.target.hits_dsrc() {
-            world.medium.dsrc.noise_floor_dbm += target_db - self.applied_db;
-            self.applied_db = target_db;
-        }
-        if self.target.hits_vlc() {
-            let outage = target_db * VLC_OUTAGE_PER_DB;
-            world.medium.vlc.ambient_outage_prob += outage - self.applied_outage;
-            self.applied_outage = outage;
-        }
+        world.medium.dsrc.noise_floor_dbm += target_db - self.applied_db;
+        self.applied_db = target_db;
+        let outage = target_db * VLC_OUTAGE_PER_DB;
+        world.medium.vlc.ambient_outage_prob += outage - self.applied_outage;
+        self.applied_outage = outage;
     }
 
     fn restore(&mut self, world: &mut World) {
@@ -578,34 +536,6 @@ mod tests {
             "a 20 dB ramp must cost deliveries even with the optical fallback: {} !< {}",
             faulty.leader_tail_pdr,
             clean.leader_tail_pdr
-        );
-    }
-
-    #[test]
-    fn noise_ramp_can_be_narrowed_to_a_single_channel() {
-        let mut engine = Engine::new(quick("ramp-dsrc").comms(CommsMode::HybridVlc).build());
-        let base_floor = engine.world().medium.dsrc.noise_floor_dbm;
-        let base_outage = engine.world().medium.vlc.ambient_outage_prob;
-        engine.add_fault(Box::new(
-            NoiseFloorRamp::new(0.0, 5.0, 10.0).targeting(ChannelTarget::DsrcOnly),
-        ));
-        for _ in 0..100 {
-            engine.step();
-        }
-        assert!(
-            engine.world().medium.dsrc.noise_floor_dbm > base_floor + 9.0,
-            "DSRC floor raised"
-        );
-        assert_eq!(
-            engine.world().medium.vlc.ambient_outage_prob,
-            base_outage,
-            "a DSRC-only ramp leaves the optical channel untouched"
-        );
-        engine.restore_faults();
-        assert_close(
-            engine.world().medium.dsrc.noise_floor_dbm,
-            base_floor,
-            "floor restored",
         );
     }
 

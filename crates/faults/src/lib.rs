@@ -54,8 +54,7 @@ pub mod schedule;
 pub mod window;
 
 pub use faults::{
-    BurstPacketLoss, ChannelTarget, ClockSkew, NoiseFloorRamp, RsuBlackout, SensorChannel,
-    SensorOutage,
+    BurstPacketLoss, ClockSkew, NoiseFloorRamp, RsuBlackout, SensorChannel, SensorOutage,
 };
 pub use platoon_sim::fault::{Fault, NoFault};
 pub use schedule::FaultSchedule;

@@ -38,8 +38,8 @@ impl Default for CacheConfig {
     }
 }
 
-/// Hit/miss/churn counters, reported by `stats` requests and the CI
-/// cache-stats artifact.
+/// Hit/miss/churn counters, reported by `stats` requests and `submit`'s
+/// stats document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a document.

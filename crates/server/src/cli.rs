@@ -9,8 +9,9 @@
 //!   whether results came from the cache or fresh executions — that is
 //!   the golden-snapshot unit.
 //! * `SERVICE_STATS_<experiment>_<label>.json` — the cache/service
-//!   counters plus this batch's hit/executed/failed split (the CI
-//!   artifact; machine-state-dependent by design).
+//!   counters plus this batch's hit/executed/failed split (`all_hits` says
+//!   whether the cache served the whole batch; machine-state-dependent by
+//!   design).
 
 use crate::cache::CacheConfig;
 use crate::grids::experiment_grid;
@@ -18,7 +19,7 @@ use crate::job::{JobSpec, CODE_VERSION};
 use crate::net::{stats_line, Client, NetServer};
 use crate::service::{JobStatus, Service, ServiceConfig};
 use platoon_sim::cli::{self, Args, Command, Exit, Flag};
-use platoon_sim::harness::{golden, json};
+use platoon_sim::harness::json;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,11 +94,6 @@ const ADDR: Flag = Flag::value(
 
 // The service knobs `serve` and `submit --in-process` share, besides
 // `cli::WORKERS`.
-const THREADS: Flag = Flag::value(
-    "--threads",
-    "N",
-    "engine threads per corridor job (default: 1)",
-);
 const CACHE_DIR: Flag = Flag::value(
     "--cache-dir",
     "DIR",
@@ -117,7 +113,6 @@ fn service_config(args: &Args) -> Result<ServiceConfig, Exit> {
     let defaults = ServiceConfig::default();
     Ok(ServiceConfig {
         workers: args.workers()?,
-        engine_threads: args.parse(THREADS.name)?.unwrap_or(defaults.engine_threads),
         cache: CacheConfig {
             dir: args.value(CACHE_DIR.name).map(PathBuf::from),
             max_bytes: args
@@ -137,7 +132,6 @@ pub const SERVE: Command = Command {
     flags: &[
         ADDR,
         cli::WORKERS,
-        THREADS,
         CACHE_DIR,
         CACHE_BYTES,
         Flag::value(
@@ -195,11 +189,8 @@ pub const SUBMIT: Command = Command {
             "run an embedded service instead of connecting",
         ),
         cli::OUT,
-        cli::CHECK_GOLDEN,
-        Flag::switch("--assert-all-hits", "fail unless every job was a cache hit"),
         Flag::switch("--shutdown", "ask the server to stop after this batch"),
         cli::WORKERS,
-        THREADS,
         CACHE_DIR,
         CACHE_BYTES,
     ],
@@ -234,8 +225,10 @@ fn submit_cli_main(args: &mut Args) -> Result<(), Exit> {
         eprintln!("  {:<40} {:>6}  {}", row.label, row.status, row.key);
     }
 
-    let document = batch_document(&experiment, effort, &rows);
-    args.write(&format!("SERVICE_{experiment}_{effort}.json"), &document)?;
+    args.write(
+        &format!("SERVICE_{experiment}_{effort}.json"),
+        batch_document(&experiment, effort, &rows),
+    )?;
     args.write(
         &format!("SERVICE_STATS_{experiment}_{effort}.json"),
         stats_document(&experiment, effort, &stats, &rows),
@@ -247,18 +240,6 @@ fn submit_cli_main(args: &mut Args) -> Result<(), Exit> {
             row.label,
             row.error.as_deref().unwrap_or("unknown")
         ));
-    }
-    args.check_golden(&document, golden::Tolerance::exact());
-    if args.switch("--assert-all-hits") {
-        let misses = rows.iter().filter(|r| r.status != "hit").count();
-        if misses == 0 {
-            eprintln!("all {} job(s) were cache hits", rows.len());
-        } else {
-            args.fail(format_args!(
-                "cache-effectiveness assertion failed: {misses} of {} job(s) were not hits",
-                rows.len()
-            ));
-        }
     }
     Ok(())
 }

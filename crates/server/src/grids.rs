@@ -138,8 +138,8 @@ pub fn experiment_grid(name: &str, quick: bool) -> Result<Vec<JobSpec>, String> 
             }
         }
         // A cheap cross-section of every job kind except the corridor
-        // (whose cells dominate wall time): the CI server-smoke batch and
-        // the golden unit for the service determinism tests.
+        // (whose cells dominate wall time): the golden unit for the
+        // service determinism tests.
         "smoke" => {
             jobs.push(JobSpec::Arm {
                 attack: "jamming".into(),

@@ -25,8 +25,8 @@
 //!   is never charged for queue wait.
 //! * [`net`] — the line-delimited JSON protocol over localhost TCP, plus
 //!   the [`Client`](net::Client).
-//! * [`grids`] — the experiment grids (`table2` … `corridor`, plus the CI
-//!   `smoke` set) expressed as job batches.
+//! * [`grids`] — the experiment grids (`table2` … `corridor`, plus the
+//!   `smoke` sampler) expressed as job batches.
 //! * [`cli`] — the `serve` and `submit` subcommands of the root binary.
 //!
 //! # Example

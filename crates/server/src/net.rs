@@ -298,7 +298,8 @@ fn error_line(message: &str) -> String {
     w.finish()
 }
 
-/// The canonical stats document (one line): also the CI artifact body.
+/// The canonical stats document (one line): also the body of `submit`'s
+/// stats document.
 pub fn stats_line(snapshot: &ServiceSnapshot) -> String {
     let mut w = json::Writer::compact();
     w.obj(|w| {

@@ -6,14 +6,13 @@
 //! parsing and `--help`, and [`Command::main`] applies one exit-code rule:
 //!
 //! * `0` — success, or `--help`;
-//! * `1` — a failed gate, an I/O error or a failed job;
+//! * `1` — a failed job, differing traces (`trace-diff`) or an I/O error;
 //! * `2` — a usage error.
 //!
-//! The four flags the experiment commands share ([`QUICK`], [`WORKERS`],
-//! [`OUT`], [`CHECK_GOLDEN`]) are declared here once, and [`Args`] carries
-//! the helpers that write output files and run the golden gate.
+//! The three flags the experiment commands share ([`QUICK`], [`WORKERS`],
+//! [`OUT`]) are declared here once, and [`Args`] carries the helper that
+//! writes output files. The golden gates live in `cargo test`.
 
-use crate::harness::golden::{self, Tolerance};
 use std::collections::BTreeMap;
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -55,7 +54,7 @@ impl Flag {
 /// `full`.
 pub const QUICK: Flag = Flag::switch(
     "--quick",
-    "quick effort: shorter runs and smaller grids (the CI smoke shape)",
+    "quick effort: shorter runs and smaller grids (the shape the goldens pin)",
 );
 /// `--workers N`: worker threads.
 pub const WORKERS: Flag = Flag::value(
@@ -68,12 +67,6 @@ pub const OUT: Flag = Flag::value(
     "--out",
     "DIR",
     "where output files are written (default: .)",
-);
-/// `--check-golden PATH`: the golden gate.
-pub const CHECK_GOLDEN: Flag = Flag::value(
-    "--check-golden",
-    "PATH",
-    "compare the canonical document against the golden at PATH",
 );
 
 /// A subcommand: one row of the binary's command table.
@@ -98,7 +91,7 @@ pub enum Exit {
     Help,
     /// A usage error (exit 2).
     Usage(String),
-    /// A failed gate, I/O error or failed job (exit 1).
+    /// A failed job, differing traces or an I/O error (exit 1).
     Failed(String),
 }
 
@@ -275,20 +268,6 @@ impl Args {
             .map_err(|e| Exit::Failed(format!("writing {}: {e}", path.display())))?;
         eprintln!("wrote {}", path.display());
         Ok(())
-    }
-
-    /// The golden gate: with `--check-golden PATH`, compares `document`
-    /// against the golden at PATH within `tolerance` (`UPDATE_GOLDEN=1`
-    /// rewrites it) and records a failure on drift.
-    pub fn check_golden(&mut self, document: &str, tolerance: Tolerance) {
-        let Some(path) = self.value(CHECK_GOLDEN.name).map(PathBuf::from) else {
-            return;
-        };
-        match golden::check(&path, document, tolerance) {
-            Ok(golden::Outcome::Match) => eprintln!("document matches {}", path.display()),
-            Ok(golden::Outcome::Updated) => eprintln!("golden written: {}", path.display()),
-            Err(diff) => self.fail(diff),
-        }
     }
 
     /// Reports every failed job as `(label, reason)` and records a failure.

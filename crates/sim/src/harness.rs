@@ -15,9 +15,8 @@
 //!   canonical JSON rendering ([`BatchReport::to_canonical_json`]) that is
 //!   byte-for-byte reproducible and records failed jobs explicitly.
 //! * [`golden`] — snapshot regression: compare a canonical JSON document
-//!   against a committed golden file with explicit per-value float
-//!   tolerances, refresh with `UPDATE_GOLDEN=1`, and fail with a readable
-//!   per-path diff otherwise.
+//!   against a committed golden file byte for byte, refresh with
+//!   `UPDATE_GOLDEN=1`, and fail with a readable per-path diff otherwise.
 //! * [`json`] — the tiny canonical JSON writer and parser the above are
 //!   built on (the workspace has no serialization framework, so
 //!   serialization is explicit and therefore stable by construction).
@@ -453,8 +452,8 @@ pub mod json {
     //! The writer produces deterministic output (explicit field order,
     //! shortest-round-trip floats, non-finite floats as strings). The parser
     //! accepts exactly the documents the writer emits plus ordinary
-    //! hand-edited JSON — enough to load goldens back for a tolerance-aware
-    //! diff without an external dependency.
+    //! hand-edited JSON — enough to load goldens back for a per-path diff
+    //! without an external dependency.
 
     /// A parsed JSON value.
     #[derive(Clone, Debug, PartialEq)]
@@ -858,98 +857,58 @@ pub mod json {
 }
 
 pub mod golden {
-    //! Golden-snapshot comparison with explicit tolerances.
+    //! Golden-snapshot comparison by bytes.
     //!
-    //! `check` compares a canonical JSON document against a committed golden
-    //! file. On mismatch it fails with one line per differing path; setting
+    //! `check` compares a document against a committed golden file: they
+    //! match when their bytes are equal. A mismatch fails with one line per
+    //! differing JSON path (or the first differing line, when either side
+    //! is not JSON or only the formatting differs); setting
     //! `UPDATE_GOLDEN=1` rewrites the golden instead and passes.
 
     use super::json::{self, Value};
     use std::path::Path;
 
-    /// Float comparison policy. A numeric pair passes when
-    /// `|a - g| <= abs_tol + rel_tol * |g|`; non-finite values must match
-    /// exactly (by bit class).
-    #[derive(Clone, Copy, Debug)]
-    pub struct Tolerance {
-        /// Absolute tolerance.
-        pub abs_tol: f64,
-        /// Relative tolerance (scaled by the golden value's magnitude).
-        pub rel_tol: f64,
-    }
-
-    impl Tolerance {
-        /// Exact comparison (still accepts `-0.0 == 0.0`).
-        pub fn exact() -> Self {
-            Tolerance {
-                abs_tol: 0.0,
-                rel_tol: 0.0,
-            }
-        }
-
-        /// The default snapshot policy: tight enough that any behavioural
-        /// change trips it, loose enough to absorb last-digit formatting
-        /// churn across toolchains.
-        pub fn snapshot() -> Self {
-            Tolerance {
-                abs_tol: 1e-9,
-                rel_tol: 1e-9,
-            }
-        }
-
-        fn accepts(&self, golden: f64, actual: f64) -> bool {
-            if golden.is_nan() {
-                return actual.is_nan();
-            }
-            if golden.is_infinite() || actual.is_infinite() {
-                return golden == actual;
-            }
-            (actual - golden).abs() <= self.abs_tol + self.rel_tol * golden.abs()
-        }
-    }
-
-    /// The outcome of a golden comparison.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub enum Outcome {
-        /// The document matches the golden within tolerance.
-        Match,
-        /// `UPDATE_GOLDEN=1`: the golden file was (re)written.
-        Updated,
-    }
-
-    /// Whether the environment requests a golden refresh.
-    pub fn update_requested() -> bool {
-        std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0")
-    }
-
-    /// Compares `actual_json` against the golden at `path`.
+    /// Compares `actual` against the golden at `path`, byte for byte.
     ///
-    /// * Golden missing or `UPDATE_GOLDEN=1` → writes the file, returns
-    ///   [`Outcome::Updated`].
-    /// * Match within `tol` → [`Outcome::Match`].
-    /// * Mismatch → `Err` with a readable per-path diff, plus the refresh
-    ///   instructions.
-    pub fn check(path: &Path, actual_json: &str, tol: Tolerance) -> Result<Outcome, String> {
-        if update_requested() || !path.exists() {
+    /// With `UPDATE_GOLDEN=1` it writes `actual` to `path` and passes. A
+    /// missing golden fails like a mismatch, so a mistyped path cannot
+    /// turn a test into a no-op. A mismatch is an `Err` with a readable
+    /// diff plus the refresh instructions.
+    pub fn check(path: &Path, actual: &str) -> Result<(), String> {
+        let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
+        compare(path, actual, update)
+    }
+
+    /// Convenience for tests: panics with the diff on mismatch.
+    pub fn assert_matches(path: &Path, actual: &str) {
+        if let Err(diff) = check(path, actual) {
+            panic!("{diff}");
+        }
+    }
+
+    /// [`check`] with the refresh decision passed in.
+    pub(super) fn compare(path: &Path, actual: &str, update: bool) -> Result<(), String> {
+        const HINT: &str = "If the change is intended, write the golden with:\n  \
+                            UPDATE_GOLDEN=1 cargo test";
+        if update {
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent)
                     .map_err(|e| format!("creating {}: {e}", parent.display()))?;
             }
-            std::fs::write(path, actual_json)
-                .map_err(|e| format!("writing {}: {e}", path.display()))?;
-            return Ok(Outcome::Updated);
+            return std::fs::write(path, actual)
+                .map_err(|e| format!("writing {}: {e}", path.display()));
         }
-        let golden_text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let golden = json::parse(&golden_text)
-            .map_err(|e| format!("golden {} is not valid JSON: {e}", path.display()))?;
-        let actual = json::parse(actual_json)
-            .map_err(|e| format!("actual document is not valid JSON: {e}"))?;
-
+        let golden = std::fs::read_to_string(path)
+            .map_err(|e| format!("reading golden {}: {e}\n{HINT}", path.display()))?;
+        if golden == actual {
+            return Ok(());
+        }
         let mut diffs = Vec::new();
-        diff_values("$", &golden, &actual, tol, &mut diffs);
+        if let (Ok(g), Ok(a)) = (json::parse(&golden), json::parse(actual)) {
+            diff_values("$", &g, &a, &mut diffs);
+        }
         if diffs.is_empty() {
-            return Ok(Outcome::Match);
+            diffs.push(first_line_diff(&golden, actual));
         }
         let shown = diffs
             .iter()
@@ -963,34 +922,35 @@ pub mod golden {
             String::new()
         };
         Err(format!(
-            "golden mismatch against {} ({} difference{}):\n  {shown}{more}\n\
-             If the behaviour change is intended, refresh with:\n  \
-             UPDATE_GOLDEN=1 cargo test",
+            "golden mismatch against {} ({} difference{}):\n  {shown}{more}\n{HINT}",
             path.display(),
             diffs.len(),
             if diffs.len() == 1 { "" } else { "s" },
         ))
     }
 
-    /// Convenience for tests: panics with the diff on mismatch.
-    pub fn assert_matches(path: &Path, actual_json: &str, tol: Tolerance) {
-        match check(path, actual_json, tol) {
-            Ok(_) => {}
-            Err(diff) => panic!("{diff}"),
+    /// The first line where two texts differ, for documents whose parsed
+    /// values agree (or that do not parse).
+    fn first_line_diff(golden: &str, actual: &str) -> String {
+        let show =
+            |line: Option<&str>| line.map_or("end of file".to_string(), |l| format!("{l:?}"));
+        let (mut g, mut a) = (golden.split_inclusive('\n'), actual.split_inclusive('\n'));
+        let mut number = 1;
+        loop {
+            match (g.next(), a.next()) {
+                (Some(gl), Some(al)) if gl == al => number += 1,
+                (gl, al) => {
+                    return format!("line {number}: golden {} vs actual {}", show(gl), show(al))
+                }
+            }
         }
     }
 
-    fn diff_values(
-        path: &str,
-        golden: &Value,
-        actual: &Value,
-        tol: Tolerance,
-        out: &mut Vec<String>,
-    ) {
-        // Numbers (including the non-finite string encodings) compare with
-        // tolerance; everything else structurally.
+    fn diff_values(path: &str, golden: &Value, actual: &Value, out: &mut Vec<String>) {
+        // Numbers (including the non-finite string encodings) compare by
+        // bits, so `-0.0` and `0.0` differ; everything else structurally.
         if let (Some(g), Some(a)) = (golden.as_f64(), actual.as_f64()) {
-            if !tol.accepts(g, a) {
+            if g.to_bits() != a.to_bits() {
                 out.push(format!("{path}: golden {g:?} vs actual {a:?}"));
             }
             return;
@@ -999,7 +959,7 @@ pub mod golden {
             (Value::Obj(g), Value::Obj(a)) => {
                 for (k, gv) in g {
                     match actual.get(k) {
-                        Some(av) => diff_values(&format!("{path}.{k}"), gv, av, tol, out),
+                        Some(av) => diff_values(&format!("{path}.{k}"), gv, av, out),
                         None => out.push(format!("{path}.{k}: missing from actual")),
                     }
                 }
@@ -1018,7 +978,7 @@ pub mod golden {
                     ));
                 }
                 for (i, (gv, av)) in g.iter().zip(a.iter()).enumerate() {
-                    diff_values(&format!("{path}[{i}]"), gv, av, tol, out);
+                    diff_values(&format!("{path}[{i}]"), gv, av, out);
                 }
             }
             (g, a) if g == a => {}
@@ -1029,7 +989,6 @@ pub mod golden {
 
 #[cfg(test)]
 mod tests {
-    use super::golden::Tolerance;
     use super::json::Value;
     use super::*;
     use crate::exec::panic_message;
@@ -1295,43 +1254,39 @@ mod tests {
     }
 
     #[test]
-    fn golden_check_updates_then_matches_then_diffs() {
+    fn golden_check_fails_when_missing_then_refreshes_then_compares_bytes() {
         let dir = std::env::temp_dir().join(format!(
             "platoon-golden-test-{}-{:x}",
             std::process::id(),
             derive_seed("golden-test", 1)
         ));
         let path = dir.join("sample.json");
-        let doc_a = "{\n  \"x\": 1.5,\n  \"y\": \"inf\"\n}\n";
-        let doc_b = "{\n  \"x\": 1.75,\n  \"y\": \"inf\"\n}\n";
+        let doc = "{\n  \"x\": 1.5,\n  \"y\": \"inf\"\n}\n";
 
-        // First contact writes the golden.
-        assert_eq!(
-            golden::check(&path, doc_a, Tolerance::snapshot()).unwrap(),
-            golden::Outcome::Updated
-        );
-        // Same document matches.
-        assert_eq!(
-            golden::check(&path, doc_a, Tolerance::snapshot()).unwrap(),
-            golden::Outcome::Match
-        );
-        // A drifted value fails with the path in the message.
-        let err = golden::check(&path, doc_b, Tolerance::snapshot()).unwrap_err();
-        assert!(err.contains("$.x"), "diff names the path: {err}");
+        // A missing golden fails and is not written. The refresh decision
+        // is passed in rather than set through UPDATE_GOLDEN, which every
+        // other test in this process reads.
+        let err = golden::compare(&path, doc, false).unwrap_err();
         assert!(err.contains("UPDATE_GOLDEN=1"), "refresh hint: {err}");
-        // A loose tolerance accepts the same drift.
-        assert_eq!(
-            golden::check(
-                &path,
-                doc_b,
-                Tolerance {
-                    abs_tol: 0.5,
-                    rel_tol: 0.0
-                }
-            )
-            .unwrap(),
-            golden::Outcome::Match
-        );
+        assert!(!path.exists());
+        // The refresh writes it, and the same bytes then match.
+        golden::compare(&path, doc, true).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), doc);
+        golden::compare(&path, doc, false).unwrap();
+
+        let mismatch = |actual: &str| golden::compare(&path, actual, false).unwrap_err();
+        // A drifted value fails with its path and both values.
+        let err = mismatch(&doc.replace("1.5", "1.75"));
+        assert!(err.contains("$.x: golden 1.5 vs actual 1.75"), "{err}");
+        assert!(err.contains("UPDATE_GOLDEN=1"), "refresh hint: {err}");
+        // So does a drift at the 13th significant digit.
+        let err = mismatch(&doc.replace("1.5", "1.500000000001"));
+        assert!(err.contains("$.x"), "{err}");
+        // Equal values spelled differently are named by their line.
+        let err = mismatch(&doc.replace("1.5", "1.50"));
+        assert!(err.contains("line 2: golden"), "{err}");
+        let err = mismatch("not json\n");
+        assert!(err.contains("line 1: golden \"{\\n\" vs actual"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

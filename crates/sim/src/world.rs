@@ -168,9 +168,9 @@ pub struct World {
     pub medium: RadioMedium,
     /// Active jammers (attacks add and remove these).
     pub jammers: Vec<Jammer>,
-    /// Principal → vehicle index, rebuilt on membership mutation.
+    /// Principal → vehicle index, built once with the world.
     principal_lookup: FxHashMap<PrincipalId, usize>,
-    /// Radio node → vehicle index, rebuilt on membership mutation.
+    /// Radio node → vehicle index, built once with the world.
     node_lookup: FxHashMap<NodeId, usize>,
 }
 
@@ -206,12 +206,10 @@ impl World {
         world
     }
 
-    /// Rebuilds the identity lookup maps. Must be called after any mutation
-    /// that adds, removes or re-identifies vehicles. (Plain state mutation —
-    /// positions, flags, comm state — does not require a rebuild.) Staleness
-    /// from added/removed vehicles is self-detected via a length check, in
-    /// which case lookups fall back to a linear scan.
-    pub fn rebuild_lookup(&mut self) {
+    /// Builds the identity lookup maps. The roster is fixed once the world
+    /// is built: joins, splits and merges change a vehicle's platoon and
+    /// role, never its index or identity.
+    fn rebuild_lookup(&mut self) {
         self.principal_lookup.clear();
         self.node_lookup.clear();
         self.principal_lookup.reserve(self.vehicles.len());
@@ -222,53 +220,42 @@ impl World {
         }
     }
 
-    /// Whether the lookup maps cover the current vehicle roster.
-    fn lookup_fresh(&self) -> bool {
-        self.principal_lookup.len() == self.vehicles.len()
-            && self.node_lookup.len() == self.vehicles.len()
-    }
-
     /// Index of the vehicle with the given principal, if any.
     pub fn index_of(&self, principal: PrincipalId) -> Option<usize> {
-        if self.lookup_fresh() {
-            let found = self.principal_lookup.get(&principal).copied();
-            if let Some(i) = found {
-                debug_assert_eq!(
-                    self.vehicles[i].principal, principal,
-                    "stale principal lookup: call rebuild_lookup after membership changes"
-                );
-            }
-            return found;
+        let found = self.principal_lookup.get(&principal).copied();
+        if let Some(i) = found {
+            debug_assert_eq!(
+                self.vehicles[i].principal, principal,
+                "stale principal lookup: the vehicle roster changed after World::new"
+            );
         }
-        self.vehicles.iter().position(|v| v.principal == principal)
+        found
     }
 
     /// Index of the vehicle with the given radio node, if any.
     pub fn index_of_node(&self, node: NodeId) -> Option<usize> {
-        if self.lookup_fresh() {
-            let found = self.node_lookup.get(&node).copied();
-            if let Some(i) = found {
-                debug_assert_eq!(
-                    self.vehicles[i].node, node,
-                    "stale node lookup: call rebuild_lookup after membership changes"
-                );
-            }
-            return found;
+        let found = self.node_lookup.get(&node).copied();
+        if let Some(i) = found {
+            debug_assert_eq!(
+                self.vehicles[i].node, node,
+                "stale node lookup: the vehicle roster changed after World::new"
+            );
         }
-        self.vehicles.iter().position(|v| v.node == node)
+        found
     }
 
-    /// True bumper-to-bumper gap in front of vehicle `idx` **within the same
-    /// platoon** (ground truth; sensors add noise and faults on top).
+    /// True bumper-to-bumper gap from vehicle `idx` to the vehicle physically
+    /// ahead of it, whichever platoon that one belongs to (ground truth;
+    /// sensors add noise and faults on top).
     pub fn true_gap(&self, idx: usize) -> Option<f64> {
         if idx == 0 {
             return None;
         }
-        let ahead = &self.vehicles[idx - 1];
-        if ahead.platoon != self.vehicles[idx].platoon {
-            // Predecessor belongs to another platoon; still physically ahead.
-        }
-        Some(self.vehicles[idx].vehicle.gap_to(&ahead.vehicle))
+        Some(
+            self.vehicles[idx]
+                .vehicle
+                .gap_to(&self.vehicles[idx - 1].vehicle),
+        )
     }
 
     /// True range rate (positive = opening) in front of vehicle `idx`.

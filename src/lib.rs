@@ -126,8 +126,8 @@ pub mod prelude {
     pub use platoon_detect::prelude::*;
     pub use platoon_dynamics::prelude::*;
     pub use platoon_faults::{
-        BurstPacketLoss, ChannelTarget, ClockSkew, FaultSchedule, FaultWindow, NoiseFloorRamp,
-        RsuBlackout, SensorChannel, SensorOutage,
+        BurstPacketLoss, ClockSkew, FaultSchedule, FaultWindow, NoiseFloorRamp, RsuBlackout,
+        SensorChannel, SensorOutage,
     };
     pub use platoon_sim::prelude::*;
     pub use platoon_v2x::prelude::{

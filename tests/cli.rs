@@ -1,5 +1,6 @@
 //! The front door, through the real binary: every command answers
-//! `--help`, and a malformed command line exits 2 before any work starts.
+//! `--help`, a malformed command line exits 2 before any work starts, and
+//! a failed job or a failed comparison exits 1.
 
 use platoon_security::COMMANDS;
 use std::process::{Command, Output};
@@ -62,4 +63,31 @@ fn a_failed_job_exits_one() {
     assert_eq!(trace.status.code(), Some(1), "{}", stderr(&trace));
     assert!(stderr(&trace).contains("failed job \"trace/bogus\""));
     std::fs::remove_dir_all(&out).ok();
+}
+
+#[test]
+fn trace_diff_exits_zero_on_equal_traces_and_one_naming_the_diverging_tick() {
+    let dir = std::env::temp_dir().join(format!("platoon-cli-trace-diff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let record = |tick: u64, delivered: u64| {
+        format!("{{\"tick\": {tick}, \"phase\": \"medium\", \"delivered\": {delivered}}}\n")
+    };
+    let write = |name: &str, ticks: &[(u64, u64)]| {
+        let path = dir.join(name);
+        let text: String = ticks.iter().map(|&(t, d)| record(t, d)).collect();
+        std::fs::write(&path, text).expect("write trace");
+        path.to_str().expect("utf-8 temp dir").to_string()
+    };
+    let left = write("left.jsonl", &[(0, 5), (1, 5), (2, 5)]);
+    let same = write("same.jsonl", &[(0, 5), (1, 5), (2, 5)]);
+    let other = write("other.jsonl", &[(0, 5), (1, 4), (2, 5)]);
+
+    let equal = run(&["trace-diff", &left, &same]);
+    assert_eq!(equal.status.code(), Some(0), "{}", stderr(&equal));
+
+    let differ = run(&["trace-diff", &left, &other]);
+    assert_eq!(differ.status.code(), Some(1), "{}", stderr(&differ));
+    let stdout = String::from_utf8_lossy(&differ.stdout);
+    assert!(stdout.contains("(tick 1, phase medium)"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }

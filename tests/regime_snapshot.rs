@@ -4,7 +4,8 @@
 //! [`RunSummary`], same trace digest, same perf counters, same end-state
 //! digest — for any seed, any engine thread count, any split point.
 //!
-//! This is the contract the `regimes --resume-check` CI gate relies on:
+//! This is the contract the regimes experiment's resume test
+//! (`interrupted_run_resumes_byte_identically`) relies on:
 //! `Engine::snapshot` captures the *entire* simulation state (world, rng
 //! stream position, detector tracks, fusion scores, regime bookkeeping,
 //! trace digest), so a restored engine can neither lose nor replay a tick.

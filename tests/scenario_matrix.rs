@@ -10,7 +10,7 @@
 //! after an intended behaviour change with `UPDATE_GOLDEN=1 cargo test`.
 
 use platoon_security::prelude::*;
-use platoon_sim::harness::golden::{self, Tolerance};
+use platoon_sim::harness::golden;
 use std::path::Path;
 
 const GRID_BASE_SEED: u64 = 99;
@@ -89,7 +89,6 @@ fn controller_auth_comms_grid_is_sound() {
     golden::assert_matches(
         &golden_path("scenario_matrix.json"),
         &report.to_canonical_json(),
-        Tolerance::snapshot(),
     );
 }
 
