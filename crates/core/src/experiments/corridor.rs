@@ -338,11 +338,6 @@ pub fn run_with(quick: bool, workers: usize, threads: usize) -> CorridorReport {
     }
 }
 
-/// Runs the quick/full grid at default width, single engine thread.
-pub fn run(quick: bool) -> CorridorReport {
-    run_with(quick, platoon_sim::harness::default_workers(), 1)
-}
-
 /// Canonical JSON of the batch document (the golden-snapshot unit: no
 /// timing or thread-count fields, byte-identical everywhere).
 pub fn to_canonical_json(report: &CorridorReport) -> String {

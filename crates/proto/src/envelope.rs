@@ -133,9 +133,16 @@ impl Envelope {
         }
     }
 
-    /// Decrypts and verifies an encrypted envelope, returning the inner
-    /// message.
+    /// Verifies and decrypts an encrypted envelope, returning the inner
+    /// message: [`Self::check_encrypted`], then
+    /// [`Self::open_encrypted_unverified`].
     pub fn open_encrypted(&self, key: &SymmetricKey) -> Result<PlatoonMessage, AuthError> {
+        self.check_encrypted(key)?;
+        self.open_encrypted_unverified(key)
+    }
+
+    /// Checks an encrypted envelope's tag under `key`, without decrypting.
+    pub fn check_encrypted(&self, key: &SymmetricKey) -> Result<(), AuthError> {
         let AuthScheme::EncryptedGroupMac { tag, nonce } = &self.auth else {
             return Err(AuthError::WrongScheme);
         };
@@ -146,6 +153,19 @@ impl Envelope {
         ) {
             return Err(AuthError::BadAuthenticator);
         }
+        Ok(())
+    }
+
+    /// Decrypts an encrypted envelope and decodes the inner message without
+    /// checking its tag. Undecodable plaintext is
+    /// [`AuthError::BadAuthenticator`].
+    pub fn open_encrypted_unverified(
+        &self,
+        key: &SymmetricKey,
+    ) -> Result<PlatoonMessage, AuthError> {
+        let AuthScheme::EncryptedGroupMac { nonce, .. } = &self.auth else {
+            return Err(AuthError::WrongScheme);
+        };
         let plaintext = xor_keystream(key, self.sender, *nonce, &self.payload);
         PlatoonMessage::decode(&plaintext).map_err(|_| AuthError::BadAuthenticator)
     }
@@ -176,19 +196,37 @@ impl Envelope {
     }
 
     /// Verifies a signed envelope against the trust anchor, returning the
-    /// inner message.
+    /// inner message: [`Self::check_signed`], then the decode.
     ///
     /// # Errors
     ///
-    /// [`AuthError::WrongScheme`] for non-signed envelopes; otherwise the
-    /// first failing check among certificate validation, subject match and
-    /// signature verification.
+    /// Those of [`Self::check_signed`]; an undecodable message is
+    /// [`AuthError::BadAuthenticator`].
     pub fn verify_signed(
         &self,
         authority_key: &PublicKey,
         authority_id: PrincipalId,
         now: f64,
     ) -> Result<PlatoonMessage, AuthError> {
+        self.check_signed(authority_key, authority_id, now)?;
+        self.open_unverified()
+            .map_err(|_| AuthError::BadAuthenticator)
+    }
+
+    /// Checks a signed envelope against the trust anchor, without decoding
+    /// the inner message.
+    ///
+    /// # Errors
+    ///
+    /// [`AuthError::WrongScheme`] for non-signed envelopes; otherwise the
+    /// first failing check among certificate validation, subject match and
+    /// signature verification.
+    pub fn check_signed(
+        &self,
+        authority_key: &PublicKey,
+        authority_id: PrincipalId,
+        now: f64,
+    ) -> Result<(), AuthError> {
         let AuthScheme::Signed {
             signature,
             certificate,
@@ -207,12 +245,20 @@ impl Envelope {
         ) {
             return Err(AuthError::BadAuthenticator);
         }
+        Ok(())
+    }
+
+    /// Verifies a group-MAC envelope, returning the inner message:
+    /// [`Self::check_mac`], then the decode.
+    pub fn verify_mac(&self, key: &SymmetricKey) -> Result<PlatoonMessage, AuthError> {
+        self.check_mac(key)?;
         self.open_unverified()
             .map_err(|_| AuthError::BadAuthenticator)
     }
 
-    /// Verifies a group-MAC envelope, returning the inner message.
-    pub fn verify_mac(&self, key: &SymmetricKey) -> Result<PlatoonMessage, AuthError> {
+    /// Checks a group-MAC envelope's tag under `key`, without decoding the
+    /// inner message.
+    pub fn check_mac(&self, key: &SymmetricKey) -> Result<(), AuthError> {
         let AuthScheme::GroupMac { tag } = &self.auth else {
             return Err(AuthError::WrongScheme);
         };
@@ -223,8 +269,7 @@ impl Envelope {
         ) {
             return Err(AuthError::BadAuthenticator);
         }
-        self.open_unverified()
-            .map_err(|_| AuthError::BadAuthenticator)
+        Ok(())
     }
 
     /// Encodes the envelope for the air.

@@ -135,42 +135,63 @@ fn truncated_frames_rejected_at_every_cut() {
 
 /// Flip each byte of an authenticated frame in turn: the corrupted frame
 /// must fail decode or fail verification — never verify to a different
-/// message. (A corrupted *plain* frame may legitimately decode; plain is the
-/// undefended baseline and carries no integrity claim.)
+/// message — and fail the check-only function too. (A corrupted *plain*
+/// frame may legitimately decode; plain is the undefended baseline and
+/// carries no integrity claim.)
 #[test]
 fn corrupted_authenticated_frames_never_verify() {
     let (ca, signer, cert) = authority();
     let key = SymmetricKey::derive(b"integration", "grp");
     let msg = &every_message()[0];
+    let corrupted = |frame: &[u8], i: usize| {
+        let mut bytes = frame.to_vec();
+        bytes[i] ^= 0x40;
+        Envelope::decode(&bytes).ok()
+    };
 
     let mac_frame = Envelope::mac(PrincipalId(11), msg, &key).encode();
+    assert!(Envelope::decode(&mac_frame)
+        .unwrap()
+        .check_mac(&key)
+        .is_ok());
     for i in 0..mac_frame.len() {
-        let mut bytes = mac_frame.clone();
-        bytes[i] ^= 0x40;
-        if let Ok(env) = Envelope::decode(&bytes) {
+        if let Some(env) = corrupted(&mac_frame, i) {
             assert!(env.verify_mac(&key).is_err(), "MAC frame byte {i}");
+            assert!(env.check_mac(&key).is_err(), "MAC frame byte {i}");
         }
     }
 
     let enc_frame = Envelope::seal_encrypted(PrincipalId(11), msg, &key, 7).encode();
+    assert!(Envelope::decode(&enc_frame)
+        .unwrap()
+        .check_encrypted(&key)
+        .is_ok());
     for i in 0..enc_frame.len() {
-        let mut bytes = enc_frame.clone();
-        bytes[i] ^= 0x40;
-        if let Ok(env) = Envelope::decode(&bytes) {
+        if let Some(env) = corrupted(&enc_frame, i) {
             assert!(
                 env.open_encrypted(&key).is_err(),
+                "encrypted frame byte {i}"
+            );
+            assert!(
+                env.check_encrypted(&key).is_err(),
                 "encrypted frame byte {i}"
             );
         }
     }
 
     let signed_frame = Envelope::sign(PrincipalId(11), msg, &signer, cert).encode();
+    assert!(Envelope::decode(&signed_frame)
+        .unwrap()
+        .check_signed(&ca.public(), ca.id(), 50.0)
+        .is_ok());
     for i in 0..signed_frame.len() {
-        let mut bytes = signed_frame.clone();
-        bytes[i] ^= 0x40;
-        if let Ok(env) = Envelope::decode(&bytes) {
+        if let Some(env) = corrupted(&signed_frame, i) {
             assert!(
                 env.verify_signed(&ca.public(), ca.id(), 50.0).is_err(),
+                "signed frame byte {i}"
+            );
+            assert!(
+                env.check_signed(&ca.public(), ca.id(), 50.0).is_err(),
                 "signed frame byte {i}"
             );
         }

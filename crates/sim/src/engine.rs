@@ -80,6 +80,10 @@ struct StepScratch {
     frames: Vec<Frame>,
     /// Nodes able to receive this step.
     receivers: Vec<Receiver>,
+    /// The medium's deliveries this step. Cleared, dropping their payload
+    /// handles, as soon as the delivery round is over, so no payload
+    /// address outlives its round (see [`PayloadDigests`]).
+    deliveries: Vec<Delivery>,
     /// This step's accepted message observations, in arrival order, for
     /// one batched detector ingest per delivery round.
     observations: Vec<MessageObservation>,
@@ -482,7 +486,7 @@ impl Engine {
     }
 
     /// Sets the number of worker threads for the shardable per-vehicle step
-    /// phases (frame sealing, dynamics substeps).
+    /// phase, frame sealing.
     ///
     /// Results are **byte-identical for every thread count**: work is
     /// sharded in contiguous index chunks and merged in vehicle order, and
@@ -1097,10 +1101,15 @@ impl Engine {
             }
         }
 
-        let (deliveries, step_stats) =
-            self.world
-                .medium
-                .step(now, &frames, &receivers, &self.world.jammers, &mut self.rng);
+        let mut deliveries = std::mem::take(&mut self.scratch.deliveries);
+        let step_stats = self.world.medium.step(
+            now,
+            &frames,
+            &receivers,
+            &self.world.jammers,
+            &mut self.rng,
+            &mut deliveries,
+        );
         self.medium_pairs += step_stats.pairs_considered as u64;
         // Per-tick max delivery latency: canonical NaN when nothing landed
         // (the same convention as `per_frame_ratio`).
@@ -1131,6 +1140,8 @@ impl Engine {
 
         // Phase 3: reception and protocol processing.
         self.process_deliveries(&deliveries, now);
+        deliveries.clear();
+        self.scratch.deliveries = deliveries;
 
         // Expire pending joins (ghosts) and mirror held gaps onto vehicles.
         self.maneuvers.expire_pending(now);
@@ -1359,15 +1370,29 @@ impl Engine {
         }
     }
 
-    /// Engine-level authentication per the deployed key scheme.
-    fn authenticate(&self, env: &Envelope, now: f64) -> Result<PlatoonMessage, RejectReason> {
+    /// The message inside `env` as the deployed key scheme reads it:
+    /// decrypted under `EncryptedGroupMac`, decoded as sent otherwise.
+    /// `None` when it does not decode. It does not depend on the receiver,
+    /// so the delivery round opens it once per frame; the authenticator is
+    /// checked per delivery ([`Self::authenticate`]).
+    fn open_body(&self, env: &Envelope) -> Option<PlatoonMessage> {
         match self.scenario.auth {
-            AuthMode::None => env.open_unverified().map_err(|_| RejectReason::AuthFailed),
+            AuthMode::EncryptedGroupMac => env.open_encrypted_unverified(&self.group_key).ok(),
+            AuthMode::None | AuthMode::GroupMac | AuthMode::Pki => env.open_unverified().ok(),
+        }
+    }
+
+    /// Engine-level authentication per the deployed key scheme: checks the
+    /// authenticator only. The message is opened once per frame
+    /// ([`Self::open_body`]).
+    fn authenticate(&self, env: &Envelope, now: f64) -> Result<(), RejectReason> {
+        match self.scenario.auth {
+            AuthMode::None => Ok(()),
             AuthMode::GroupMac => env
-                .verify_mac(&self.group_key)
+                .check_mac(&self.group_key)
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::EncryptedGroupMac => env
-                .open_encrypted(&self.group_key)
+                .check_encrypted(&self.group_key)
                 .map_err(|_| RejectReason::AuthFailed),
             AuthMode::Pki => {
                 if let platoon_proto::envelope::AuthScheme::Signed { certificate, .. } = &env.auth {
@@ -1375,28 +1400,31 @@ impl Engine {
                         return Err(RejectReason::Distrusted);
                     }
                 }
-                env.verify_signed(&self.ca.public(), self.ca.id(), now)
+                env.check_signed(&self.ca.public(), self.ca.id(), now)
                     .map_err(|_| RejectReason::AuthFailed)
             }
         }
     }
 
-    /// Engine-level authentication, then every defense's `filter_rx`. The
-    /// first refusal rejects the delivery: it is counted in
-    /// `rejected_messages` and traced as a defense verdict, and `None`
+    /// Engine-level authentication, then the frame's opened `body` (a body
+    /// that did not open fails authentication), then every defense's
+    /// `filter_rx`. The first refusal rejects the delivery: it is counted
+    /// in `rejected_messages` and traced as a defense verdict, and `None`
     /// comes back.
     fn screen(
         &mut self,
         rx_idx: usize,
         delivery: &Delivery,
         env: &Envelope,
+        body: Option<&PlatoonMessage>,
         now: f64,
     ) -> Option<PlatoonMessage> {
-        let verdict = self.authenticate(env, now).and_then(|msg| {
+        let verdict = self.authenticate(env, now).and_then(|()| {
+            let msg = body.ok_or(RejectReason::AuthFailed)?;
             for defense in self.defenses.iter_mut() {
                 defense.filter_rx(rx_idx, &self.world, delivery, env, now)?;
             }
-            Ok(msg)
+            Ok(msg.clone())
         });
         let reason = match verdict {
             Ok(msg) => return Some(msg),
@@ -1418,8 +1446,9 @@ impl Engine {
     }
 
     /// Phase 3, one frame at a time. A frame's deliveries are adjacent (see
-    /// [`Delivery::frame`]), so its payload is decoded once and its digest
-    /// probed once. Every delivery is still screened on its own, then
+    /// [`Delivery::frame`]), so its envelope and message body are decoded
+    /// once and its digest probed once. Every delivery is still screened on
+    /// its own (its authenticator checked, every `filter_rx` run), then
     /// deduplicated, observed and applied, in delivery order.
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
@@ -1476,12 +1505,13 @@ impl Engine {
             let Ok(env) = Envelope::decode(&head.payload) else {
                 continue;
             };
+            let body = self.open_body(&env);
             dedup.next_frame();
             for delivery in frame {
                 let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
                     continue; // RSU or attacker receiver; vehicles only here.
                 };
-                let Some(msg) = self.screen(rx_idx, delivery, &env, now) else {
+                let Some(msg) = self.screen(rx_idx, delivery, &env, body.as_ref(), now) else {
                     continue;
                 };
                 if !dedup.admit(rx_idx, &delivery.payload) {
@@ -2095,12 +2125,9 @@ impl Engine {
         let layout = self.world.platoon_layout();
 
         for _ in 0..substeps.max(1) {
-            // Per-vehicle dynamics are independent and rng-free; shard them
-            // in contiguous index chunks (results land in each vehicle's own
-            // state, so order cannot leak through).
-            par::for_each_mut(&mut self.world.vehicles, self.threads, |_, v| {
+            for v in self.world.vehicles.iter_mut() {
                 v.vehicle.step(dt);
-            });
+            }
             // Safety observation per substep (collisions are fast).
             for idx in 1..n {
                 let gap = self.world.true_gap(idx).expect("idx > 0");
@@ -2251,6 +2278,191 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use platoon_crypto::hmac::hmac_sha256;
+    use platoon_crypto::signature::Signature;
+    use platoon_proto::envelope::AuthScheme;
+
+    /// `Engine::authenticate` as it was while every delivery decoded its
+    /// own message: the authenticator check and the decode in one call.
+    fn authenticate_in_one(
+        engine: &Engine,
+        env: &Envelope,
+        now: f64,
+    ) -> Result<PlatoonMessage, RejectReason> {
+        match engine.scenario.auth {
+            AuthMode::None => env.open_unverified().map_err(|_| RejectReason::AuthFailed),
+            AuthMode::GroupMac => env
+                .verify_mac(&engine.group_key)
+                .map_err(|_| RejectReason::AuthFailed),
+            AuthMode::EncryptedGroupMac => env
+                .open_encrypted(&engine.group_key)
+                .map_err(|_| RejectReason::AuthFailed),
+            AuthMode::Pki => {
+                if let AuthScheme::Signed { certificate, .. } = &env.auth {
+                    if engine.ca.revokes(certificate) {
+                        return Err(RejectReason::Distrusted);
+                    }
+                }
+                env.verify_signed(&engine.ca.public(), engine.ca.id(), now)
+                    .map_err(|_| RejectReason::AuthFailed)
+            }
+        }
+    }
+
+    /// Envelopes of every scheme from principal 1, each valid and spoiled
+    /// in every way a verdict can tell apart, with the time each is checked
+    /// at. Certificates come from `engine`'s authority, valid on [0, 100];
+    /// one of them is revoked.
+    fn verdict_cases(engine: &mut Engine) -> Vec<(String, Envelope, f64)> {
+        let sender = PrincipalId(1);
+        let key = engine.group_key();
+        let msg = PlatoonMessage::Beacon(Beacon {
+            sender,
+            platoon: PlatoonId(1),
+            role: Role::Member,
+            seq: 3,
+            timestamp: 9.5,
+            position: 120.0,
+            speed: 24.0,
+            accel: 0.1,
+            length: 16.5,
+        });
+        let keys = KeyPair::from_seed(77);
+        let signer = Signer::new(keys);
+        let certificate = engine.ca_mut().issue(sender, keys.public(), 0.0, 100.0);
+        let revoked_keys = KeyPair::from_seed(78);
+        let revoked = engine
+            .ca_mut()
+            .issue(sender, revoked_keys.public(), 0.0, 100.0);
+        engine.ca_mut().revoke(revoked.serial());
+
+        // The same schemes over an empty message body, which never decodes,
+        // with authenticators valid over it.
+        let image = |tag: &[u8], extra: &[u8]| -> Vec<u8> {
+            [tag, &sender.0.to_be_bytes(), extra].concat()
+        };
+        let empty_mac = Envelope {
+            sender,
+            auth: AuthScheme::GroupMac {
+                tag: hmac_sha256(key.as_bytes(), &image(b"pmac", &[])).0,
+            },
+            payload: Vec::new(),
+        };
+        let empty_encrypted = Envelope {
+            sender,
+            auth: AuthScheme::EncryptedGroupMac {
+                tag: hmac_sha256(key.as_bytes(), &image(b"penc-tag", &5u64.to_be_bytes())).0,
+                nonce: 5,
+            },
+            payload: Vec::new(),
+        };
+        let empty_signed = Envelope {
+            sender,
+            auth: AuthScheme::Signed {
+                signature: signer.sign_deterministic(&image(b"psig", &[])),
+                certificate,
+            },
+            payload: Vec::new(),
+        };
+        assert!(empty_mac.check_mac(&key).is_ok());
+        assert!(empty_encrypted.check_encrypted(&key).is_ok());
+        let ca = engine.ca();
+        assert!(empty_signed
+            .check_signed(&ca.public(), ca.id(), 10.0)
+            .is_ok());
+
+        let schemes = [
+            (
+                "plain",
+                Envelope::plain(sender, &msg),
+                Envelope::plain(sender, &msg),
+            ),
+            ("group MAC", Envelope::mac(sender, &msg, &key), empty_mac),
+            (
+                "encrypted",
+                Envelope::seal_encrypted(sender, &msg, &key, 5),
+                empty_encrypted,
+            ),
+            (
+                "signed",
+                Envelope::sign(sender, &msg, &signer, certificate),
+                empty_signed,
+            ),
+        ];
+        let mut cases = Vec::new();
+        for (scheme, valid, mut malformed) in schemes {
+            if scheme == "plain" {
+                malformed.payload.clear();
+            }
+            let mut flipped_payload = valid.clone();
+            flipped_payload.payload[20] ^= 0x01;
+            let mut flipped_auth = valid.clone();
+            match &mut flipped_auth.auth {
+                AuthScheme::Plain => {}
+                AuthScheme::GroupMac { tag } | AuthScheme::EncryptedGroupMac { tag, .. } => {
+                    tag[0] ^= 0x01;
+                }
+                AuthScheme::Signed { signature, .. } => {
+                    let mut bytes = signature.to_bytes();
+                    bytes[0] ^= 0x01;
+                    *signature = Signature::from_bytes(&bytes);
+                }
+            }
+            let mut swapped = valid.clone();
+            swapped.sender = PrincipalId(2);
+            cases.extend([
+                (format!("{scheme}: valid"), valid.clone(), 10.0),
+                (
+                    format!("{scheme}: flipped payload byte"),
+                    flipped_payload,
+                    10.0,
+                ),
+                (
+                    format!("{scheme}: flipped authenticator"),
+                    flipped_auth,
+                    10.0,
+                ),
+                (format!("{scheme}: swapped sender"), swapped, 10.0),
+                (format!("{scheme}: expired certificate"), valid, 200.0),
+                (format!("{scheme}: malformed body"), malformed, 10.0),
+            ]);
+        }
+        cases.push((
+            "signed: revoked certificate".to_string(),
+            Envelope::sign(sender, &msg, &Signer::new(revoked_keys), revoked),
+            10.0,
+        ));
+        cases
+    }
+
+    #[test]
+    fn per_frame_body_and_per_delivery_check_reach_the_one_call_verdict() {
+        let modes = [
+            AuthMode::None,
+            AuthMode::GroupMac,
+            AuthMode::EncryptedGroupMac,
+            AuthMode::Pki,
+        ];
+        let mut accepted = 0;
+        let mut distrusted = 0;
+        for mode in modes {
+            let mut engine = Engine::new(Scenario::builder().vehicles(3).auth(mode).build());
+            for (case, env, now) in verdict_cases(&mut engine) {
+                let want = authenticate_in_one(&engine, &env, now);
+                let body = engine.open_body(&env);
+                let got = engine
+                    .authenticate(&env, now)
+                    .and_then(|()| body.ok_or(RejectReason::AuthFailed));
+                assert_eq!(got, want, "{mode:?}, {case}");
+                accepted += usize::from(got.is_ok());
+                distrusted += usize::from(got == Err(RejectReason::Distrusted));
+            }
+        }
+        // Every mode accepts its own valid scheme, and PKI tells a revoked
+        // certificate apart from a bad one.
+        assert!(accepted >= 4, "accepted {accepted}");
+        assert_eq!(distrusted, 1);
+    }
 
     #[test]
     fn payload_digest_memo_is_the_sha256_dedup_key() {

@@ -510,6 +510,15 @@ pub mod json {
         Ok(value)
     }
 
+    /// Where the number that starts at `start` ends: the run of bytes a
+    /// JSON number may contain. The text is then parsed as an `f64`.
+    pub(super) fn number_end(b: &[u8], start: usize) -> usize {
+        b[start..]
+            .iter()
+            .position(|c| !matches!(c, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .map_or(b.len(), |n| start + n)
+    }
+
     fn skip_ws(b: &[u8], pos: &mut usize) {
         while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
             *pos += 1;
@@ -645,11 +654,7 @@ pub mod json {
             }
             Some(_) => {
                 let start = *pos;
-                while *pos < b.len()
-                    && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    *pos += 1;
-                }
+                *pos = number_end(b, start);
                 let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
                 text.parse::<f64>()
                     .map(Value::Num)
@@ -866,6 +871,7 @@ pub mod golden {
     //! `UPDATE_GOLDEN=1` rewrites the golden instead and passes.
 
     use super::json::{self, Value};
+    use std::collections::HashMap;
     use std::path::Path;
 
     /// Compares `actual` against the golden at `path`, byte for byte.
@@ -905,7 +911,8 @@ pub mod golden {
         }
         let mut diffs = Vec::new();
         if let (Ok(g), Ok(a)) = (json::parse(&golden), json::parse(actual)) {
-            diff_values("$", &g, &a, &mut diffs);
+            let spellings = [number_spellings(&golden), number_spellings(actual)];
+            diff_values("$", &g, &a, &spellings, &mut diffs);
         }
         if diffs.is_empty() {
             diffs.push(first_line_diff(&golden, actual));
@@ -946,12 +953,55 @@ pub mod golden {
         }
     }
 
-    fn diff_values(path: &str, golden: &Value, actual: &Value, out: &mut Vec<String>) {
+    /// Each number's text in `doc`, keyed by the bits of its value (the
+    /// first spelling of each value), so that a mismatch quotes the
+    /// document's own digits: a golden written with more digits than the
+    /// value's shortest form needs must not be quoted as that short form.
+    fn number_spellings(doc: &str) -> HashMap<u64, &str> {
+        let b = doc.as_bytes();
+        let mut spellings = HashMap::new();
+        let mut pos = 0;
+        while pos < b.len() {
+            match b[pos] {
+                b'"' => {
+                    // Skip the whole string, escapes included.
+                    pos += 1;
+                    while pos < b.len() && b[pos] != b'"' {
+                        pos += if b[pos] == b'\\' { 2 } else { 1 };
+                    }
+                    pos += 1;
+                }
+                b'-' | b'0'..=b'9' => {
+                    let end = json::number_end(b, pos);
+                    let text = &doc[pos..end];
+                    if let Ok(x) = text.parse::<f64>() {
+                        spellings.entry(x.to_bits()).or_insert(text);
+                    }
+                    pos = end;
+                }
+                _ => pos += 1,
+            }
+        }
+        spellings
+    }
+
+    fn diff_values(
+        path: &str,
+        golden: &Value,
+        actual: &Value,
+        spellings: &[HashMap<u64, &str>; 2],
+        out: &mut Vec<String>,
+    ) {
         // Numbers (including the non-finite string encodings) compare by
         // bits, so `-0.0` and `0.0` differ; everything else structurally.
         if let (Some(g), Some(a)) = (golden.as_f64(), actual.as_f64()) {
             if g.to_bits() != a.to_bits() {
-                out.push(format!("{path}: golden {g:?} vs actual {a:?}"));
+                let spell = |x: f64, side: &HashMap<u64, &str>| {
+                    side.get(&x.to_bits())
+                        .map_or_else(|| format!("{x:?}"), |text| text.to_string())
+                };
+                let (g, a) = (spell(g, &spellings[0]), spell(a, &spellings[1]));
+                out.push(format!("{path}: golden {g} vs actual {a}"));
             }
             return;
         }
@@ -959,7 +1009,7 @@ pub mod golden {
             (Value::Obj(g), Value::Obj(a)) => {
                 for (k, gv) in g {
                     match actual.get(k) {
-                        Some(av) => diff_values(&format!("{path}.{k}"), gv, av, out),
+                        Some(av) => diff_values(&format!("{path}.{k}"), gv, av, spellings, out),
                         None => out.push(format!("{path}.{k}: missing from actual")),
                     }
                 }
@@ -978,7 +1028,7 @@ pub mod golden {
                     ));
                 }
                 for (i, (gv, av)) in g.iter().zip(a.iter()).enumerate() {
-                    diff_values(&format!("{path}[{i}]"), gv, av, out);
+                    diff_values(&format!("{path}[{i}]"), gv, av, spellings, out);
                 }
             }
             (g, a) if g == a => {}
@@ -1287,6 +1337,34 @@ mod tests {
         assert!(err.contains("line 2: golden"), "{err}");
         let err = mismatch("not json\n");
         assert!(err.contains("line 1: golden \"{\\n\" vs actual"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn golden_mismatch_quotes_each_number_as_its_document_spells_it() {
+        let dir = std::env::temp_dir().join(format!(
+            "platoon-golden-spelling-{}-{:x}",
+            std::process::id(),
+            derive_seed("golden-spelling", 1)
+        ));
+        let path = dir.join("sample.json");
+        // 14.999999999909963 has one digit more than its value needs: the
+        // parsed f64's shortest form is 14.999999999909964. The label spells
+        // the same value a third way inside a string, which is not a number.
+        let golden =
+            "{\n  \"label\": \"14.99999999990996300\",\n  \"duration\": 14.999999999909963\n}\n";
+        assert_eq!(
+            format!("{:?}", 14.999999999909963_f64),
+            "14.999999999909964"
+        );
+        golden::compare(&path, golden, true).unwrap();
+        let actual = golden.replace(": 14.999999999909963", ": 14.999999999999963");
+        let err = golden::compare(&path, &actual, false).unwrap_err();
+        assert!(
+            err.contains("$.duration: golden 14.999999999909963 vs actual 14.999999999999963"),
+            "{err}"
+        );
+        assert!(!err.contains("14.999999999909964"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,41 +1,14 @@
 //! Deterministic intra-run parallelism helpers.
 //!
-//! The engine shards independent per-vehicle work (frame sealing, dynamics
-//! substeps) across scoped threads. Determinism is
-//! preserved structurally: items are split into **contiguous index chunks**,
-//! each item's result is written to **its own slot**, and callers consume
-//! results in **item order** — never completion order. The thread count can
-//! therefore change the wall time but never the bytes produced.
+//! The engine shards independent per-vehicle work (frame sealing) across
+//! scoped threads. Determinism is preserved structurally: items are split
+//! into **contiguous index chunks**, each item's result is written to **its
+//! own slot**, and callers consume results in **item order** — never
+//! completion order. The thread count can therefore change the wall time
+//! but never the bytes produced.
 //!
-//! Helpers fall back to a plain sequential loop for one thread (or one
-//! item), so the default configuration never pays thread-spawn overhead.
-
-/// Applies `f` to every element, sharded across up to `threads` scoped
-/// threads in contiguous chunks. `f` receives the element's index.
-pub fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (ci, chunk_items) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (k, item) in chunk_items.iter_mut().enumerate() {
-                    f(ci * chunk + k, item);
-                }
-            });
-        }
-    });
-}
+//! It falls back to a plain sequential loop for one thread (or one item),
+//! so the default configuration never pays thread-spawn overhead.
 
 /// Maps every element through `f`, sharded across up to `threads` scoped
 /// threads in contiguous chunks. The returned `Vec` is in item order.
@@ -74,18 +47,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn for_each_mut_visits_every_index_once() {
-        for threads in [1, 2, 3, 8, 64] {
-            let mut items: Vec<usize> = vec![0; 37];
-            for_each_mut(&mut items, threads, |i, slot| *slot = i + 1);
-            assert!(
-                items.iter().enumerate().all(|(i, &v)| v == i + 1),
-                "threads = {threads}"
-            );
-        }
-    }
-
-    #[test]
     fn map_indexed_is_in_item_order_for_any_thread_count() {
         let items: Vec<u64> = (0..101).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
@@ -102,8 +63,6 @@ mod tests {
     fn empty_and_single_item_inputs_work() {
         let empty: Vec<u32> = Vec::new();
         assert!(map_indexed(&empty, 4, |_, &x| x).is_empty());
-        let mut one = [7u32];
-        for_each_mut(&mut one, 9, |_, x| *x += 1);
-        assert_eq!(one, [8]);
+        assert_eq!(map_indexed(&[7u32], 9, |_, &x| x + 1), [8]);
     }
 }

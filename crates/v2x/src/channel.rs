@@ -2,7 +2,6 @@
 //! SINR-based reception, the standard highway V2V channel model (as used in
 //! Veins, the network simulator underlying Plexe \[39\]).
 
-use crate::message::{distance, Position};
 use rand::Rng;
 
 /// Physical-layer parameters of the 5.9 GHz DSRC channel.
@@ -56,9 +55,8 @@ impl DsrcPhy {
         dist_m: f64,
         rng: &mut R,
     ) -> f64 {
-        let median = self.median_rx_power_dbm(tx_power_dbm, dist_m);
-        let gain = nakagami_power_gain(self.nakagami_m, rng);
-        median + 10.0 * gain.log10()
+        self.reception()
+            .sample_rx_power_dbm(tx_power_dbm, dist_m, rng)
     }
 
     /// The distance at which the median received power hits the decoding
@@ -84,9 +82,60 @@ impl DsrcPhy {
     /// Whether a signal at `signal_dbm` decodes against `interference_mw`
     /// milliwatts of co-channel interference.
     pub fn decodes(&self, signal_dbm: f64, interference_mw: f64) -> bool {
+        self.reception().decodes(signal_dbm, interference_mw)
+    }
+
+    /// This PHY's reception model with its constants computed once, for a
+    /// caller that samples and decodes many links with the same PHY (the
+    /// medium, once per step).
+    pub(crate) fn reception(&self) -> Reception {
         let noise_mw = dbm_to_mw(self.noise_floor_dbm);
-        let sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw);
-        sinr_db >= self.sinr_threshold_db
+        Reception {
+            phy: *self,
+            noise_mw,
+            noise_dbm: mw_to_dbm(noise_mw),
+            fading: NakagamiGain::new(self.nakagami_m),
+        }
+    }
+}
+
+/// A [`DsrcPhy`]'s fading draw and SINR test, with the constants they share
+/// across links computed once: the noise floor in milliwatts and its dBm
+/// form, and the Nakagami sampler's. The only implementation of both:
+/// [`DsrcPhy::sample_rx_power_dbm`] and [`DsrcPhy::decodes`] build one per
+/// call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Reception {
+    phy: DsrcPhy,
+    noise_mw: f64,
+    /// `mw_to_dbm(noise_mw)`, the noise-plus-interference power of a link
+    /// whose interference is exactly `0.0` (`noise_mw + 0.0 == noise_mw`).
+    noise_dbm: f64,
+    fading: NakagamiGain,
+}
+
+impl Reception {
+    /// Samples a faded received power (median power scaled by a Nakagami-m
+    /// power gain with unit mean).
+    pub(crate) fn sample_rx_power_dbm<R: Rng + ?Sized>(
+        &self,
+        tx_power_dbm: f64,
+        dist_m: f64,
+        rng: &mut R,
+    ) -> f64 {
+        let median = self.phy.median_rx_power_dbm(tx_power_dbm, dist_m);
+        median + 10.0 * self.fading.sample(rng).log10()
+    }
+
+    /// Whether a signal at `signal_dbm` decodes against `interference_mw`
+    /// milliwatts of co-channel interference.
+    pub(crate) fn decodes(&self, signal_dbm: f64, interference_mw: f64) -> bool {
+        let floor_dbm = if interference_mw == 0.0 {
+            self.noise_dbm
+        } else {
+            mw_to_dbm(self.noise_mw + interference_mw)
+        };
+        signal_dbm - floor_dbm >= self.phy.sinr_threshold_db
     }
 }
 
@@ -104,47 +153,58 @@ pub fn mw_to_dbm(mw: f64) -> f64 {
 ///
 /// Uses the Marsaglia–Tsang method for m ≥ 1, which covers the V2V range.
 pub fn nakagami_power_gain<R: Rng + ?Sized>(m: f64, rng: &mut R) -> f64 {
-    assert!(m >= 0.5, "Nakagami m must be >= 0.5");
-    // Gamma(shape=m, scale=1/m) via Marsaglia-Tsang (valid for shape >= 1;
-    // for 0.5 <= m < 1 use the boost trick with a uniform power).
-    let shape = if m >= 1.0 { m } else { m + 1.0 };
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
-    let sample = loop {
-        // Standard normal via Box-Muller.
-        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let x = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        let v = (1.0 + c * x).powi(3);
-        if v <= 0.0 {
-            continue;
-        }
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
-            break d * v;
-        }
-    };
-    let sample = if m >= 1.0 {
-        sample
-    } else {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        sample * u.powf(1.0 / m)
-    };
-    sample / m // scale to unit mean
+    NakagamiGain::new(m).sample(rng)
 }
 
-/// Convenience: SINR-based reception test between two positions.
-pub fn link_decodes<R: Rng + ?Sized>(
-    phy: &DsrcPhy,
-    tx_power_dbm: f64,
-    from: Position,
-    to: Position,
-    interference_mw: f64,
-    rng: &mut R,
-) -> (bool, f64) {
-    let d = distance(from, to);
-    let rx = phy.sample_rx_power_dbm(tx_power_dbm, d, rng);
-    (phy.decodes(rx, interference_mw), rx)
+/// The unit-mean Nakagami-m power-gain sampler of [`nakagami_power_gain`],
+/// with its Marsaglia–Tsang constants computed once.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct NakagamiGain {
+    m: f64,
+    d: f64,
+    c: f64,
+}
+
+impl NakagamiGain {
+    /// The sampler for shape `m`. Sampling panics unless `m >= 0.5`.
+    fn new(m: f64) -> Self {
+        // Gamma(shape=m, scale=1/m) via Marsaglia-Tsang (valid for shape >= 1;
+        // for 0.5 <= m < 1 use the boost trick with a uniform power).
+        let shape = if m >= 1.0 { m } else { m + 1.0 };
+        let d = shape - 1.0 / 3.0;
+        NakagamiGain {
+            m,
+            d,
+            c: 1.0 / (9.0 * d).sqrt(),
+        }
+    }
+
+    /// One gain draw.
+    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        let NakagamiGain { m, d, c } = *self;
+        assert!(m >= 0.5, "Nakagami m must be >= 0.5");
+        let sample = loop {
+            // Standard normal via Box-Muller.
+            let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let u2: f64 = rng.gen_range(0.0..1.0);
+            let x = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+            let v = (1.0 + c * x).powi(3);
+            if v <= 0.0 {
+                continue;
+            }
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            if u.ln() < 0.5 * x * x + d - d * v + d * v.ln() {
+                break d * v;
+            }
+        };
+        let sample = if m >= 1.0 {
+            sample
+        } else {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            sample * u.powf(1.0 / m)
+        };
+        sample / m // scale to unit mean
+    }
 }
 
 #[cfg(test)]
@@ -234,10 +294,10 @@ mod tests {
         let mut close_ok = 0;
         let mut far_ok = 0;
         for _ in 0..200 {
-            if link_decodes(&phy, 20.0, (0.0, 0.0), (20.0, 0.0), 0.0, &mut rng).0 {
+            if phy.decodes(phy.sample_rx_power_dbm(20.0, 20.0, &mut rng), 0.0) {
                 close_ok += 1;
             }
-            if link_decodes(&phy, 20.0, (0.0, 0.0), (5000.0, 0.0), 0.0, &mut rng).0 {
+            if phy.decodes(phy.sample_rx_power_dbm(20.0, 5000.0, &mut rng), 0.0) {
                 far_ok += 1;
             }
         }
@@ -253,6 +313,30 @@ mod tests {
         // Interference 30 dB above the noise floor.
         let strong_interference = dbm_to_mw(phy.noise_floor_dbm + 40.0);
         assert!(!phy.decodes(signal, strong_interference));
+    }
+
+    #[test]
+    fn reception_decodes_by_the_textbook_sinr_test() {
+        // The precomputed noise floor, including the shortcut for a link
+        // with no interference, decides exactly as the formula does.
+        let phy = DsrcPhy::default();
+        let reception = phy.reception();
+        let textbook = |signal_dbm: f64, interference_mw: f64| {
+            signal_dbm - mw_to_dbm(dbm_to_mw(phy.noise_floor_dbm) + interference_mw)
+                >= phy.sinr_threshold_db
+        };
+        let edge = mw_to_dbm(dbm_to_mw(phy.noise_floor_dbm)) + phy.sinr_threshold_db;
+        for interference_mw in [0.0, 1e-13, 1e-10, 1e-7] {
+            for signal_dbm in [-120.0, edge - 1e-9, edge, edge + 1e-9, -60.0] {
+                assert_eq!(
+                    reception.decodes(signal_dbm, interference_mw),
+                    textbook(signal_dbm, interference_mw),
+                    "signal {signal_dbm} dBm, interference {interference_mw} mW"
+                );
+            }
+        }
+        assert!(reception.decodes(edge + 1e-9, 0.0));
+        assert!(!reception.decodes(edge - 1e-9, 0.0));
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //!     payload: b"beacon".to_vec().into(),
 //! };
 //! let receivers = vec![Receiver { id: NodeId(1), position: (15.0, 0.0) }];
-//! let (deliveries, stats) = medium.step(0.0, &[frame], &receivers, &[], &mut rng);
+//! let mut deliveries = Vec::new();
+//! let stats = medium.step(0.0, &[frame], &receivers, &[], &mut rng, &mut deliveries);
 //! assert_eq!(deliveries.len(), 1);
 //! assert_eq!(stats.delivered, 1);
 //! ```
@@ -89,7 +90,8 @@ mod proptests {
                 id: NodeId(i as u64),
                 position: (i as f64 * 20.0, 0.0),
             }).collect();
-            let (deliveries, stats) = medium.step(0.0, &frames, &receivers, &[], &mut rng);
+            let mut deliveries = Vec::new();
+            let stats = medium.step(0.0, &frames, &receivers, &[], &mut rng, &mut deliveries);
             prop_assert_eq!(stats.offered, n_frames);
             prop_assert!(deliveries.iter().all(|d| d.sender != d.receiver));
             prop_assert_eq!(deliveries.len(), stats.delivered);
@@ -127,8 +129,9 @@ mod proptests {
             }).collect();
             let mut rng_a = StdRng::seed_from_u64(seed);
             let mut rng_b = StdRng::seed_from_u64(seed);
-            let (da, sa) = scan.step(0.0, &frames, &receivers, &[], &mut rng_a);
-            let (db, sb) = indexed.step(0.0, &frames, &receivers, &[], &mut rng_b);
+            let (mut da, mut db) = (Vec::new(), Vec::new());
+            let sa = scan.step(0.0, &frames, &receivers, &[], &mut rng_a, &mut da);
+            let sb = indexed.step(0.0, &frames, &receivers, &[], &mut rng_b, &mut db);
             prop_assert_eq!(da, db);
             prop_assert_eq!(sa, sb);
             prop_assert_eq!(rand::RngCore::next_u64(&mut rng_a), rand::RngCore::next_u64(&mut rng_b));

@@ -17,7 +17,7 @@
 //! frames use deterministic semi-persistent slots (no contention) but share
 //! the fading channel and can be jammed by a C-V2X-targeting jammer.
 
-use crate::channel::{dbm_to_mw, DsrcPhy};
+use crate::channel::{dbm_to_mw, DsrcPhy, Reception};
 use crate::jamming::Jammer;
 use crate::message::{distance, ChannelKind, Delivery, Frame, NodeId, Position};
 use crate::spatial::SpatialGrid;
@@ -108,13 +108,25 @@ fn on_channel(frames: &[Frame], channel: ChannelKind) -> Vec<(u32, &Frame)> {
         .collect()
 }
 
+/// What every RF channel's delivery shares within one step.
+struct RfStep<'a> {
+    now: f64,
+    receivers: &'a [Receiver],
+    jammers: &'a [Jammer],
+    traffic_on_air: bool,
+    /// The receiver grid, `Some` iff the radio horizon is finite.
+    rx_grid: Option<SpatialGrid>,
+    reception: Reception,
+}
+
 impl RadioMedium {
     /// Runs one communication step: schedules `frames`, applies the channel
-    /// and jammers, and returns all successful deliveries (a node never
-    /// receives its own frame). Each delivery carries the index of its frame
-    /// in `frames`, and one frame's deliveries are adjacent: DSRC frames in
-    /// CSMA order, then C-V2X, then VLC frames in offer order. With distinct
-    /// receiver ids, a frame reaches each receiver at most once.
+    /// and jammers, and fills `deliveries` (cleared first) with every
+    /// successful delivery (a node never receives its own frame). Each
+    /// delivery carries the index of its frame in `frames`, and one frame's
+    /// deliveries are adjacent: DSRC frames in CSMA order, then C-V2X, then
+    /// VLC frames in offer order. With distinct receiver ids, a frame
+    /// reaches each receiver at most once.
     pub fn step<R: Rng + ?Sized>(
         &self,
         now: f64,
@@ -122,51 +134,48 @@ impl RadioMedium {
         receivers: &[Receiver],
         jammers: &[Jammer],
         rng: &mut R,
-    ) -> (Vec<Delivery>, StepStats) {
-        let mut deliveries = Vec::new();
+        deliveries: &mut Vec<Delivery>,
+    ) -> StepStats {
+        deliveries.clear();
         let mut stats = StepStats {
             offered: frames.len(),
             ..Default::default()
         };
-        let traffic_on_air = !frames.is_empty();
 
         let dsrc_frames = on_channel(frames, ChannelKind::Dsrc);
         let vlc_frames = on_channel(frames, ChannelKind::Vlc);
         let cv2x_frames = on_channel(frames, ChannelKind::CV2x);
 
-        // With a finite radio horizon, index receiver positions once and
-        // frame origins per channel so delivery becomes range queries.
-        let rx_grid = self.radio_horizon_m.is_finite().then(|| {
-            let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
-            SpatialGrid::build(self.grid_cell(), &positions)
-        });
-
-        let scheduled = self.schedule_csma(&dsrc_frames, rng);
-        let frame_grid = rx_grid.as_ref().map(|_| self.frame_grid(&scheduled));
-        self.deliver_rf(
+        // With a finite radio horizon, index receiver positions once so
+        // delivery becomes range queries.
+        let rf = RfStep {
             now,
-            ChannelKind::Dsrc,
-            &scheduled,
             receivers,
             jammers,
-            traffic_on_air,
-            rx_grid.as_ref().zip(frame_grid.as_ref()),
-            &mut deliveries,
+            traffic_on_air: !frames.is_empty(),
+            rx_grid: self.radio_horizon_m.is_finite().then(|| {
+                let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
+                SpatialGrid::build(self.grid_cell(), &positions)
+            }),
+            reception: self.dsrc.reception(),
+        };
+
+        let scheduled = self.schedule_csma(&dsrc_frames, rng);
+        self.deliver_rf(
+            &rf,
+            ChannelKind::Dsrc,
+            &scheduled,
+            deliveries,
             &mut stats,
             rng,
         );
 
         let cv2x_scheduled = self.schedule_sps(&cv2x_frames);
-        let cv2x_frame_grid = rx_grid.as_ref().map(|_| self.frame_grid(&cv2x_scheduled));
         self.deliver_rf(
-            now,
+            &rf,
             ChannelKind::CV2x,
             &cv2x_scheduled,
-            receivers,
-            jammers,
-            traffic_on_air,
-            rx_grid.as_ref().zip(cv2x_frame_grid.as_ref()),
-            &mut deliveries,
+            deliveries,
             &mut stats,
             rng,
         );
@@ -193,19 +202,13 @@ impl RadioMedium {
             }
         }
 
-        (deliveries, stats)
+        stats
     }
 
     /// Cell size for spatial grids under a finite horizon: one horizon per
     /// cell, so a radius-`horizon` query touches at most a 3×3 block.
     fn grid_cell(&self) -> f64 {
         self.radio_horizon_m.max(1.0)
-    }
-
-    /// Grid over scheduled frame origins (for interference range queries).
-    fn frame_grid(&self, scheduled: &[ScheduledFrame]) -> SpatialGrid {
-        let origins: Vec<Position> = scheduled.iter().map(|s| s.frame.origin).collect();
-        SpatialGrid::build(self.grid_cell(), &origins)
     }
 
     /// CSMA/CA-lite: random contention offsets, then defer to any earlier
@@ -308,82 +311,65 @@ impl RadioMedium {
 
     /// Samples reception for every (frame, receiver) pair.
     ///
-    /// `index` (receiver grid + frame-origin grid) is `Some` iff the radio
-    /// horizon is finite. The indexed path visits, in ascending index order,
-    /// exactly the receivers within one horizon of the frame origin and the
-    /// interferer frames within two horizons (by the triangle inequality a
-    /// superset of "within one horizon of any candidate receiver"), then
-    /// applies the exact per-pair predicates. Because candidate order is
-    /// ascending — never bucket order — the rng draw sequence and the
-    /// floating-point interference sums match the all-pairs scan whenever
-    /// the horizon covers the geometry.
+    /// Under a finite horizon, the receiver grid yields, in ascending index
+    /// order, exactly the receivers within one horizon of the frame origin;
+    /// otherwise every receiver is a candidate. Because candidate order is
+    /// ascending — never bucket order — the rng draw sequence matches the
+    /// all-pairs scan whenever the horizon covers the geometry.
     ///
     /// Whether another frame overlaps this one in time does not depend on
-    /// the receiver, so the overlapping candidates are collected once per
-    /// frame ([`overlapping_frames`]); each receiver then runs only its
-    /// horizon check and the power sum over that list, in the same order.
-    #[allow(clippy::too_many_arguments)]
+    /// the receiver, so the interferers are collected once per frame
+    /// ([`AirtimeSweep`]); each receiver then runs only its horizon check
+    /// and the power sum over that list, in ascending index order.
     fn deliver_rf<R: Rng + ?Sized>(
         &self,
-        now: f64,
+        rf: &RfStep<'_>,
         channel: ChannelKind,
         scheduled: &[ScheduledFrame],
-        receivers: &[Receiver],
-        jammers: &[Jammer],
-        traffic_on_air: bool,
-        index: Option<(&SpatialGrid, &SpatialGrid)>,
         deliveries: &mut Vec<Delivery>,
         stats: &mut StepStats,
         rng: &mut R,
     ) {
         let horizon = self.radio_horizon_m;
-        // Scan mode: fixed full candidate lists, identical to iterating the
-        // receiver and frame slices directly.
-        let (all_rx, all_frames): (Vec<u32>, Vec<u32>) = if index.is_none() {
-            (
-                (0..receivers.len() as u32).collect(),
-                (0..scheduled.len() as u32).collect(),
-            )
+        // Scan mode: a fixed full candidate list, identical to iterating
+        // the receiver slice directly.
+        let all_rx: Vec<u32> = if rf.rx_grid.is_none() {
+            (0..rf.receivers.len() as u32).collect()
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
+        let sweep = AirtimeSweep::new(scheduled);
         let mut rx_cand: Vec<u32> = Vec::new();
-        let mut near_frames: Vec<u32> = Vec::new();
         let mut interferers: Vec<u32> = Vec::new();
         for (i, sf) in scheduled.iter().enumerate() {
-            let (rx_list, frame_list): (&[u32], &[u32]) = match index {
-                Some((rx_grid, frame_grid)) => {
+            let rx_list: &[u32] = match &rf.rx_grid {
+                Some(rx_grid) => {
                     rx_grid.query_within(sf.frame.origin, horizon, &mut rx_cand);
-                    frame_grid.query_within(sf.frame.origin, 2.0 * horizon, &mut near_frames);
-                    (&rx_cand, &near_frames)
+                    &rx_cand
                 }
-                None => (&all_rx, &all_frames),
+                None => &all_rx,
             };
-            overlapping_frames(scheduled, i, frame_list, &mut interferers);
+            sweep.collect(scheduled, i, horizon, &mut interferers);
             for &r in rx_list {
-                let rx = &receivers[r as usize];
+                let rx = &rf.receivers[r as usize];
                 if rx.id == sf.frame.sender {
                     continue;
                 }
                 stats.pairs_considered += 1;
                 let d = distance(sf.frame.origin, rx.position);
-                let signal_dbm = self.dsrc.sample_rx_power_dbm(sf.frame.power_dbm, d, rng);
+                let signal_dbm = rf.reception.sample_rx_power_dbm(sf.frame.power_dbm, d, rng);
 
                 // Interference: temporally overlapping frames on the same
                 // channel (hidden terminals) plus jammers targeting it.
-                let mut interference_mw = self.frame_interference_mw(
-                    scheduled,
-                    &interferers,
-                    rx.position,
-                    index.is_some(),
-                );
-                for jam in jammers {
-                    if jam.target == channel && jam.is_active(now, traffic_on_air) {
+                let mut interference_mw =
+                    self.frame_interference_mw(scheduled, &interferers, rx.position);
+                for jam in rf.jammers {
+                    if jam.target == channel && jam.is_active(rf.now, rf.traffic_on_air) {
                         interference_mw += jam.interference_mw(&self.dsrc, rx.position);
                     }
                 }
 
-                if self.dsrc.decodes(signal_dbm, interference_mw) {
+                if rf.reception.decodes(signal_dbm, interference_mw) {
                     deliveries.push(Delivery {
                         sender: sf.frame.sender,
                         receiver: rx.id,
@@ -402,16 +388,16 @@ impl RadioMedium {
     }
 
     /// Summed median power at `at` of the `interferers` (indices into
-    /// `scheduled`), in list order. With a finite horizon (`indexed`), an
-    /// interferer beyond the horizon of `at` is out of range by model
-    /// definition and contributes nothing.
+    /// `scheduled`), in list order. With a finite horizon, an interferer
+    /// beyond the horizon of `at` is out of range by model definition and
+    /// contributes nothing.
     fn frame_interference_mw(
         &self,
         scheduled: &[ScheduledFrame],
         interferers: &[u32],
         at: Position,
-        indexed: bool,
     ) -> f64 {
+        let indexed = self.radio_horizon_m.is_finite();
         let mut interference_mw = 0.0;
         for &j in interferers {
             let other = &scheduled[j as usize];
@@ -427,25 +413,71 @@ impl RadioMedium {
     }
 }
 
-/// Collects into `out`, in `candidates` order, every candidate frame other
-/// than frame `i` whose airtime overlaps frame `i`'s.
-fn overlapping_frames(
-    scheduled: &[ScheduledFrame],
-    i: usize,
-    candidates: &[u32],
-    out: &mut Vec<u32>,
-) {
-    let sf = &scheduled[i];
-    out.clear();
-    out.extend(candidates.iter().copied().filter(|&j| {
-        let other = &scheduled[j as usize];
-        j as usize != i && sf.start < other.end && other.start < sf.end
-    }));
+/// One channel's scheduled frames in start order, for finding a frame's
+/// interferers by airtime.
+///
+/// A frame `j` interferes with frame `i` when their airtimes overlap
+/// (`i.start < j.end && j.start < i.end`, `j ≠ i`) and, under a finite
+/// horizon, its origin lies within two horizons of `i`'s (by the triangle
+/// inequality a superset of "within one horizon of some receiver of `i`").
+/// An overlapping frame starts less than its own airtime before `i` does,
+/// so the sweep visits only the frames that start inside
+/// `[i.start − 2 × longest, i.end)`, where `longest` is the channel's
+/// longest airtime this step (twice it, a margin over rounding in
+/// `end − start`). Under an infinite horizon it never visits more frames
+/// than a scan of all of them.
+struct AirtimeSweep {
+    /// Indices into the schedule, ascending by start time.
+    by_start: Vec<u32>,
+    /// The longest `end − start` in the schedule.
+    longest: f64,
+}
+
+impl AirtimeSweep {
+    fn new(scheduled: &[ScheduledFrame]) -> Self {
+        let mut by_start: Vec<u32> = (0..scheduled.len() as u32).collect();
+        by_start.sort_by(|&a, &b| {
+            scheduled[a as usize]
+                .start
+                .total_cmp(&scheduled[b as usize].start)
+        });
+        let longest = scheduled
+            .iter()
+            .map(|s| s.end - s.start)
+            .fold(0.0, f64::max);
+        AirtimeSweep { by_start, longest }
+    }
+
+    /// Collects into `out`, in ascending index order, frame `i`'s
+    /// interferers under `horizon`.
+    fn collect(&self, scheduled: &[ScheduledFrame], i: usize, horizon: f64, out: &mut Vec<u32>) {
+        let sf = &scheduled[i];
+        let earliest = sf.start - 2.0 * self.longest;
+        let first = self
+            .by_start
+            .partition_point(|&j| scheduled[j as usize].start < earliest);
+        out.clear();
+        for &j in &self.by_start[first..] {
+            let other = &scheduled[j as usize];
+            if other.start >= sf.end {
+                break;
+            }
+            let overlaps = j as usize != i && sf.start < other.end && other.start < sf.end;
+            if overlaps
+                && (!horizon.is_finite()
+                    || distance(other.frame.origin, sf.frame.origin) <= 2.0 * horizon)
+            {
+                out.push(j);
+            }
+        }
+        out.sort_unstable();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::mw_to_dbm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -454,12 +486,16 @@ mod tests {
     }
 
     fn frame(sender: u64, x: f64, channel: ChannelKind) -> Frame {
+        sized_frame(sender, x, channel, 60)
+    }
+
+    fn sized_frame(sender: u64, x: f64, channel: ChannelKind, bytes: usize) -> Frame {
         Frame {
             sender: NodeId(sender),
             origin: (x, 0.0),
             power_dbm: 20.0,
             channel,
-            payload: vec![sender as u8; 60].into(),
+            payload: vec![sender as u8; bytes].into(),
         }
     }
 
@@ -472,19 +508,34 @@ mod tests {
             .collect()
     }
 
+    /// One step into a fresh buffer.
+    fn step_once(
+        medium: &RadioMedium,
+        frames: &[Frame],
+        receivers: &[Receiver],
+        jammers: &[Jammer],
+        rng: &mut StdRng,
+    ) -> (Vec<Delivery>, StepStats) {
+        let mut deliveries = Vec::new();
+        let stats = medium.step(0.0, frames, receivers, jammers, rng, &mut deliveries);
+        (deliveries, stats)
+    }
+
     #[test]
     fn close_broadcast_reaches_everyone() {
         let medium = RadioMedium::default();
         let receivers = platoon_receivers(5, 20.0);
         let mut rng = rng();
+        let mut deliveries = Vec::new();
         let mut total = 0;
         for _ in 0..50 {
-            let (deliveries, _) = medium.step(
+            medium.step(
                 0.0,
                 &[frame(0, 0.0, ChannelKind::Dsrc)],
                 &receivers,
                 &[],
                 &mut rng,
+                &mut deliveries,
             );
             total += deliveries.len();
         }
@@ -493,16 +544,34 @@ mod tests {
     }
 
     #[test]
+    fn step_replaces_what_the_buffer_held() {
+        let medium = RadioMedium::default();
+        let receivers = platoon_receivers(4, 20.0);
+        let frames = [
+            frame(0, 0.0, ChannelKind::Dsrc),
+            frame(1, 20.0, ChannelKind::Vlc),
+        ];
+        let (fresh, fresh_stats) = step_once(&medium, &frames, &receivers, &[], &mut rng());
+        assert!(!fresh.is_empty());
+        // A buffer still holding an earlier step's deliveries ends up with
+        // exactly this step's.
+        let mut reused = fresh.clone();
+        reused.extend(fresh.iter().cloned());
+        let stats = medium.step(0.0, &frames, &receivers, &[], &mut rng(), &mut reused);
+        assert_eq!(reused, fresh);
+        assert_eq!(stats, fresh_stats);
+    }
+
+    #[test]
     fn sender_never_receives_own_frame() {
         let medium = RadioMedium::default();
         let receivers = platoon_receivers(3, 20.0);
-        let mut rng = rng();
-        let (deliveries, _) = medium.step(
-            0.0,
+        let (deliveries, _) = step_once(
+            &medium,
             &[frame(1, 20.0, ChannelKind::Dsrc)],
             &receivers,
             &[],
-            &mut rng,
+            &mut rng(),
         );
         assert!(deliveries.iter().all(|d| d.receiver != NodeId(1)));
     }
@@ -513,16 +582,18 @@ mod tests {
         let receivers = platoon_receivers(4, 20.0);
         let jammer = Jammer::continuous((30.0, 5.0), 40.0);
         let mut rng = rng();
+        let mut deliveries = Vec::new();
         let mut delivered = 0;
         for _ in 0..50 {
-            let (d, _) = medium.step(
+            medium.step(
                 0.0,
                 &[frame(0, 0.0, ChannelKind::Dsrc)],
                 &receivers,
                 &[jammer],
                 &mut rng,
+                &mut deliveries,
             );
-            delivered += d.len();
+            delivered += deliveries.len();
         }
         assert!(
             delivered < 10,
@@ -536,17 +607,19 @@ mod tests {
         let receivers = platoon_receivers(2, 15.0);
         let jammer = Jammer::continuous((10.0, 2.0), 60.0);
         let mut rng = rng();
+        let mut deliveries = Vec::new();
         let mut delivered = 0;
         for _ in 0..100 {
             // Node 1 (front, x = 15) transmits backward to node 0 (x = 0).
-            let (d, _) = medium.step(
+            medium.step(
                 0.0,
                 &[frame(1, 15.0, ChannelKind::Vlc)],
                 &receivers,
                 &[jammer],
                 &mut rng,
+                &mut deliveries,
             );
-            delivered += d.len();
+            delivered += deliveries.len();
         }
         assert!(
             delivered > 90,
@@ -558,13 +631,12 @@ mod tests {
     fn vlc_limited_to_adjacent_range() {
         let medium = RadioMedium::default();
         let receivers = platoon_receivers(4, 50.0); // 50 m spacing > VLC range
-        let mut rng = rng();
-        let (d, _) = medium.step(
-            0.0,
+        let (d, _) = step_once(
+            &medium,
             &[frame(3, 150.0, ChannelKind::Vlc)],
             &receivers,
             &[],
-            &mut rng,
+            &mut rng(),
         );
         assert!(d.is_empty(), "VLC should not reach 50 m");
     }
@@ -604,8 +676,7 @@ mod tests {
         let frames: Vec<Frame> = (0..60)
             .map(|i| frame(i, i as f64 * 10.0, ChannelKind::Dsrc))
             .collect();
-        let mut rng = rng();
-        let (_, stats) = medium.step(0.0, &frames, &receivers, &[], &mut rng);
+        let (_, stats) = step_once(&medium, &frames, &receivers, &[], &mut rng());
         assert!(stats.lost > 0, "saturated channel must drop something");
     }
 
@@ -616,8 +687,7 @@ mod tests {
         let frames: Vec<Frame> = (0..8)
             .map(|i| frame(i, i as f64 * 15.0, ChannelKind::CV2x))
             .collect();
-        let mut rng = rng();
-        let (d, _) = medium.step(0.0, &frames, &receivers, &[], &mut rng);
+        let (d, _) = step_once(&medium, &frames, &receivers, &[], &mut rng());
         // 8 senders × 7 receivers = 56 pairs; SPS slots mean essentially all
         // decode (senders have distinct slots).
         assert!(d.len() > 50, "C-V2X delivered only {}", d.len());
@@ -628,13 +698,12 @@ mod tests {
         let medium = RadioMedium::default();
         let receivers = platoon_receivers(3, 15.0);
         let jammer = Jammer::continuous((15.0, 2.0), 60.0); // targets DSRC
-        let mut rng = rng();
-        let (d, _) = medium.step(
-            0.0,
+        let (d, _) = step_once(
+            &medium,
             &[frame(0, 0.0, ChannelKind::CV2x)],
             &receivers,
             &[jammer],
-            &mut rng,
+            &mut rng(),
         );
         assert_eq!(d.len(), 2, "C-V2X should survive a DSRC-band jammer");
     }
@@ -659,13 +728,20 @@ mod tests {
             })
             .collect();
         let jammers = [Jammer::continuous((150.0, 5.0), 25.0)];
+        let (mut d_scan, mut d_idx) = (Vec::new(), Vec::new());
         for seed in 0..20 {
             let mut rng_scan = StdRng::seed_from_u64(seed);
             let mut rng_idx = StdRng::seed_from_u64(seed);
-            let (d_scan, s_scan) =
-                scan_medium.step(0.0, &frames, &receivers, &jammers, &mut rng_scan);
-            let (d_idx, s_idx) =
-                indexed_medium.step(0.0, &frames, &receivers, &jammers, &mut rng_idx);
+            let s_scan = scan_medium.step(
+                0.0,
+                &frames,
+                &receivers,
+                &jammers,
+                &mut rng_scan,
+                &mut d_scan,
+            );
+            let s_idx =
+                indexed_medium.step(0.0, &frames, &receivers, &jammers, &mut rng_idx, &mut d_idx);
             assert_eq!(d_scan, d_idx, "seed {seed}");
             assert_eq!(s_scan, s_idx, "seed {seed}");
             assert_eq!(
@@ -676,79 +752,80 @@ mod tests {
         }
     }
 
-    /// Reference: `deliver_rf` with the overlap test inside the per-pair
-    /// loop, so every (frame, receiver) pair re-tests every candidate frame.
-    /// At each pair it also asserts that the list `deliver_rf` builds once
-    /// per frame sums to the same bits at that receiver. Returns
-    /// the deliveries, the stats and how many pairs frame interference
-    /// alone lost (they would decode against noise and jammers).
+    /// The reference delivery of one channel's schedule, with no index and
+    /// no interferer list: every receiver within the horizon of the frame
+    /// (every receiver under an infinite horizon) and, for each pair, every
+    /// scheduled frame as an interference candidate. A candidate counts if
+    /// it overlaps the frame in airtime, then, under a finite horizon, if
+    /// its origin is within two horizons of the frame's and within one of
+    /// the receiver. Pairs decode by the textbook SINR test. At each pair it
+    /// also asserts that the list [`AirtimeSweep`] collects once per frame
+    /// sums to the same bits at that receiver. Returns the deliveries, the
+    /// stats and how many pairs frame interference alone lost (they would
+    /// decode against noise and jammers).
     fn reference_deliver_rf(
         medium: &RadioMedium,
         channel: ChannelKind,
         scheduled: &[ScheduledFrame],
         receivers: &[Receiver],
         jammers: &[Jammer],
-        index: Option<(&SpatialGrid, &SpatialGrid)>,
         rng: &mut StdRng,
     ) -> (Vec<Delivery>, StepStats, usize) {
         let horizon = medium.radio_horizon_m;
+        let within = |a: Position, b: Position, r: f64| distance(a, b) <= r;
+        let finite = horizon.is_finite();
+        let phy = &medium.dsrc;
+        let decodes = |signal_dbm: f64, interference_mw: f64| {
+            signal_dbm - mw_to_dbm(dbm_to_mw(phy.noise_floor_dbm) + interference_mw)
+                >= phy.sinr_threshold_db
+        };
         let mut deliveries = Vec::new();
         let mut stats = StepStats::default();
         let mut lost_to_frames = 0;
-        let (mut rx_list, mut frame_list, mut list) = (Vec::new(), Vec::new(), Vec::new());
+        let sweep = AirtimeSweep::new(scheduled);
+        let mut swept = Vec::new();
         for (i, sf) in scheduled.iter().enumerate() {
-            match index {
-                Some((rx_grid, frame_grid)) => {
-                    rx_grid.query_within(sf.frame.origin, horizon, &mut rx_list);
-                    frame_grid.query_within(sf.frame.origin, 2.0 * horizon, &mut frame_list);
+            sweep.collect(scheduled, i, horizon, &mut swept);
+            for (r, rx) in receivers.iter().enumerate() {
+                if finite && !within(rx.position, sf.frame.origin, horizon) {
+                    continue;
                 }
-                None => {
-                    rx_list = (0..receivers.len() as u32).collect();
-                    frame_list = (0..scheduled.len() as u32).collect();
-                }
-            }
-            overlapping_frames(scheduled, i, &frame_list, &mut list);
-            for &r in &rx_list {
-                let rx = &receivers[r as usize];
                 if rx.id == sf.frame.sender {
                     continue;
                 }
                 stats.pairs_considered += 1;
                 let d = distance(sf.frame.origin, rx.position);
-                let signal_dbm = medium.dsrc.sample_rx_power_dbm(sf.frame.power_dbm, d, rng);
+                let signal_dbm = phy.sample_rx_power_dbm(sf.frame.power_dbm, d, rng);
                 let mut interference_mw = 0.0;
-                for &j in &frame_list {
-                    let j = j as usize;
-                    if i == j {
+                for (j, other) in scheduled.iter().enumerate() {
+                    if j == i || !(sf.start < other.end && other.start < sf.end) {
                         continue;
                     }
-                    let other = &scheduled[j];
-                    if sf.start < other.end && other.start < sf.end {
-                        let dj = distance(other.frame.origin, rx.position);
-                        let in_horizon = dj <= horizon;
-                        if index.is_some() && !in_horizon {
-                            continue;
-                        }
-                        interference_mw +=
-                            dbm_to_mw(medium.dsrc.median_rx_power_dbm(other.frame.power_dbm, dj));
+                    if finite && !within(other.frame.origin, sf.frame.origin, 2.0 * horizon) {
+                        continue;
                     }
+                    let dj = distance(other.frame.origin, rx.position);
+                    if finite && !within(other.frame.origin, rx.position, horizon) {
+                        continue;
+                    }
+                    interference_mw +=
+                        dbm_to_mw(phy.median_rx_power_dbm(other.frame.power_dbm, dj));
                 }
-                let listed =
-                    medium.frame_interference_mw(scheduled, &list, rx.position, index.is_some());
+                let listed = medium.frame_interference_mw(scheduled, &swept, rx.position);
                 assert_eq!(
                     listed.to_bits(),
                     interference_mw.to_bits(),
-                    "frame {i} at receiver {r}: list {list:?} of candidates {frame_list:?}"
+                    "frame {i} at receiver {r}: swept list {swept:?}"
                 );
                 let mut jam_mw = 0.0;
                 for jam in jammers {
                     if jam.target == channel && jam.is_active(0.0, true) {
-                        let mw = jam.interference_mw(&medium.dsrc, rx.position);
+                        let mw = jam.interference_mw(phy, rx.position);
                         interference_mw += mw;
                         jam_mw += mw;
                     }
                 }
-                if medium.dsrc.decodes(signal_dbm, interference_mw) {
+                if decodes(signal_dbm, interference_mw) {
                     deliveries.push(Delivery {
                         sender: sf.frame.sender,
                         receiver: rx.id,
@@ -761,16 +838,53 @@ mod tests {
                     stats.delivered += 1;
                 } else {
                     stats.lost += 1;
-                    lost_to_frames += usize::from(medium.dsrc.decodes(signal_dbm, jam_mw));
+                    lost_to_frames += usize::from(decodes(signal_dbm, jam_mw));
                 }
             }
         }
         (deliveries, stats, lost_to_frames)
     }
 
-    /// Runs `deliver_rf` and the reference on the same schedule and rng
-    /// state, at an infinite and at a finite horizon, over several seeds;
-    /// returns the pairs frame interference alone lost.
+    /// Runs `deliver_rf` and the reference on `scheduled` from the same rng
+    /// state; returns the pairs frame interference alone lost.
+    fn deliver_rf_matches_reference(
+        medium: &RadioMedium,
+        channel: ChannelKind,
+        scheduled: &[ScheduledFrame],
+        receivers: &[Receiver],
+        jammers: &[Jammer],
+        rng: &mut StdRng,
+    ) -> usize {
+        let horizon = medium.radio_horizon_m;
+        let rf = RfStep {
+            now: 0.0,
+            receivers,
+            jammers,
+            traffic_on_air: true,
+            rx_grid: horizon.is_finite().then(|| {
+                let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
+                SpatialGrid::build(medium.grid_cell(), &positions)
+            }),
+            reception: medium.dsrc.reception(),
+        };
+        let mut rng_ref = rng.clone();
+        let (want, want_stats, lost) =
+            reference_deliver_rf(medium, channel, scheduled, receivers, jammers, &mut rng_ref);
+        let (mut got, mut got_stats) = (Vec::new(), StepStats::default());
+        medium.deliver_rf(&rf, channel, scheduled, &mut got, &mut got_stats, rng);
+        assert_eq!(got, want, "horizon {horizon}");
+        assert_eq!(got_stats, want_stats, "horizon {horizon}");
+        assert_eq!(
+            rand::RngCore::next_u64(rng),
+            rand::RngCore::next_u64(&mut rng_ref),
+            "rng streams diverged: horizon {horizon}"
+        );
+        lost
+    }
+
+    /// Schedules `frames` on `channel` and checks `deliver_rf` against the
+    /// reference at an infinite and at a finite horizon, over several
+    /// seeds; returns the pairs frame interference alone lost.
     fn interferer_list_matches_reference(
         channel: ChannelKind,
         frames: &[Frame],
@@ -792,45 +906,9 @@ mod tests {
                     ChannelKind::Dsrc => medium.schedule_csma(&refs, &mut rng),
                     _ => medium.schedule_sps(&refs),
                 };
-                let positions: Vec<Position> = receivers.iter().map(|r| r.position).collect();
-                let grids = horizon.is_finite().then(|| {
-                    (
-                        SpatialGrid::build(medium.grid_cell(), &positions),
-                        medium.frame_grid(&scheduled),
-                    )
-                });
-                let index = grids.as_ref().map(|(rx, fr)| (rx, fr));
-                let mut rng_ref = rng.clone();
-                let (want, want_stats, lost) = reference_deliver_rf(
-                    &medium,
-                    channel,
-                    &scheduled,
-                    receivers,
-                    jammers,
-                    index,
-                    &mut rng_ref,
+                lost_to_frames += deliver_rf_matches_reference(
+                    &medium, channel, &scheduled, receivers, jammers, &mut rng,
                 );
-                let (mut got, mut got_stats) = (Vec::new(), StepStats::default());
-                medium.deliver_rf(
-                    0.0,
-                    channel,
-                    &scheduled,
-                    receivers,
-                    jammers,
-                    true,
-                    index,
-                    &mut got,
-                    &mut got_stats,
-                    &mut rng,
-                );
-                assert_eq!(got, want, "horizon {horizon}, seed {seed}");
-                assert_eq!(got_stats, want_stats, "horizon {horizon}, seed {seed}");
-                assert_eq!(
-                    rand::RngCore::next_u64(&mut rng),
-                    rand::RngCore::next_u64(&mut rng_ref),
-                    "rng streams diverged: horizon {horizon}, seed {seed}"
-                );
-                lost_to_frames += lost;
             }
         }
         lost_to_frames
@@ -839,7 +917,8 @@ mod tests {
     #[test]
     fn interferer_list_is_exact_when_interference_matters() {
         // C-V2X: ids i, i + 100 and i + 200 share SPS slot i, so each frame
-        // overlaps two others; a C-V2X jammer sits mid-road.
+        // overlaps two others with the same start time; a C-V2X jammer sits
+        // mid-road.
         let cv2x: Vec<Frame> = (0..4u64)
             .flat_map(|i| {
                 (0..3u64).map(move |k| {
@@ -887,6 +966,71 @@ mod tests {
             0.0005,
         );
         assert!(lost > 0, "no DSRC delivery was lost to a hidden terminal");
+
+        // DSRC with one frame 60 times longer than the rest: short frames
+        // that start long after it began still overlap it, so the sweep
+        // must reach back by the longest airtime, not by their own.
+        let mut long_and_short: Vec<Frame> = (0..8u64)
+            .map(|i| frame(i, i as f64 * 450.0 - 200.0, ChannelKind::Dsrc))
+            .collect();
+        long_and_short.push(sized_frame(8, 700.0, ChannelKind::Dsrc, 3600));
+        let lost = interferer_list_matches_reference(
+            ChannelKind::Dsrc,
+            &long_and_short,
+            &receivers,
+            &[],
+            0.01,
+        );
+        assert!(lost > 0, "no DSRC delivery was lost to the long frame");
+
+        // A hand-built schedule: equal start times, one frame spanning
+        // every other, frames that end exactly where others start (no
+        // overlap) and origins beyond two horizons of each other.
+        let spans = [
+            (0.0, 0.0001),
+            (0.0, 0.0001),
+            (0.0, 0.0004),
+            (0.0001, 0.0002),
+            (0.0001, 0.0002),
+            (0.00005, 0.0095),
+            (0.0003, 0.0004),
+            (0.0009, 0.001),
+            (0.0009, 0.0011),
+        ];
+        let scheduled: Vec<ScheduledFrame> = spans
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, end))| ScheduledFrame {
+                index: i as u32,
+                frame: frame(i as u64, i as f64 * 380.0 - 300.0, ChannelKind::Dsrc),
+                start,
+                end,
+            })
+            .collect();
+        let spread: Vec<Receiver> = (0..40)
+            .map(|i| Receiver {
+                id: NodeId(1000 + i as u64),
+                position: (i as f64 * 80.0 - 400.0, 3.5),
+            })
+            .collect();
+        let mut lost = 0;
+        for horizon in [f64::INFINITY, 700.0, 250.0] {
+            let medium = RadioMedium {
+                radio_horizon_m: horizon,
+                ..RadioMedium::default()
+            };
+            for seed in 0..10 {
+                lost += deliver_rf_matches_reference(
+                    &medium,
+                    ChannelKind::Dsrc,
+                    &scheduled,
+                    &spread,
+                    &[],
+                    &mut StdRng::seed_from_u64(seed),
+                );
+            }
+        }
+        assert!(lost > 0, "no delivery was lost to an overlapping frame");
     }
 
     #[test]
@@ -907,8 +1051,8 @@ mod tests {
         let frames: Vec<Frame> = (0..6)
             .map(|i| frame(i, i as f64 * 25.0, ChannelKind::Dsrc))
             .collect();
-        let (d_idx, s_idx) = medium.step(0.0, &frames, &receivers, &[], &mut rng());
-        let (_, s_scan) = scan.step(0.0, &frames, &receivers, &[], &mut rng());
+        let (d_idx, s_idx) = step_once(&medium, &frames, &receivers, &[], &mut rng());
+        let (_, s_scan) = step_once(&scan, &frames, &receivers, &[], &mut rng());
         assert!(d_idx.iter().all(|d| d.receiver.0 < 100));
         assert!(
             s_idx.pairs_considered < s_scan.pairs_considered,
@@ -934,9 +1078,10 @@ mod tests {
             .collect();
         let mut csma_reordered = false;
         let mut heard = [false; 3];
+        let mut deliveries = Vec::new();
         for seed in 0..20 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (deliveries, _) = medium.step(0.0, &frames, &receivers, &[], &mut rng);
+            medium.step(0.0, &frames, &receivers, &[], &mut rng, &mut deliveries);
             let mut runs: Vec<u32> = Vec::new();
             for run in deliveries.chunk_by(|a, b| a.frame == b.frame) {
                 let offered = &frames[run[0].frame as usize];
@@ -981,13 +1126,12 @@ mod tests {
     fn deliveries_carry_rssi() {
         let medium = RadioMedium::default();
         let receivers = platoon_receivers(2, 10.0);
-        let mut rng = rng();
-        let (d, _) = medium.step(
-            0.0,
+        let (d, _) = step_once(
+            &medium,
             &[frame(0, 0.0, ChannelKind::Dsrc)],
             &receivers,
             &[],
-            &mut rng,
+            &mut rng(),
         );
         assert_eq!(d.len(), 1);
         assert!(d[0].rssi_dbm < 20.0 && d[0].rssi_dbm > -90.0);
