@@ -30,7 +30,6 @@ use crate::trace::{TraceDetail, TracePhase, TraceRecord, TraceRecorder};
 use crate::world::{AuthMaterial, CommState, HeardPeer, PlatoonLayout, Rsu, VehicleNode, World};
 use platoon_crypto::cert::{CertificateAuthority, PrincipalId};
 use platoon_crypto::keys::{KeyPair, SymmetricKey};
-use platoon_crypto::sha256::Sha256;
 use platoon_crypto::signature::Signer;
 use platoon_detect::fusion::{Alert, AlertTarget};
 use platoon_detect::observation::{
@@ -80,9 +79,8 @@ struct StepScratch {
     frames: Vec<Frame>,
     /// Nodes able to receive this step.
     receivers: Vec<Receiver>,
-    /// The medium's deliveries this step. Cleared, dropping their payload
-    /// handles, as soon as the delivery round is over, so no payload
-    /// address outlives its round (see [`PayloadDigests`]).
+    /// The medium's deliveries this step, cleared as soon as the delivery
+    /// round is over.
     deliveries: Vec<Delivery>,
     /// This step's accepted message observations, in arrival order, for
     /// one batched detector ingest per delivery round.
@@ -101,48 +99,19 @@ struct StepScratch {
     seal_jobs: Vec<(usize, PlatoonMessage, u64)>,
 }
 
-/// The protocol-dedup hash of each distinct payload in one delivery round.
-///
-/// A frame, its hybrid copy and its VLC relays share one `Arc` allocation,
-/// so the SHA-256 runs once per allocation instead of once per frame. The
-/// address (data pointer and length) is only the memo key: dedup still
-/// compares hash values, so two allocations holding equal bytes still
-/// merge. An address identifies bytes only while its allocation lives, so
-/// the memo is cleared at the start of every round and fed only payloads of
-/// that round's deliveries, which outlive it.
-#[derive(Debug, Default)]
-struct PayloadDigests(FxHashMap<(usize, usize), u64>);
-
-impl PayloadDigests {
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-
-    /// `Sha256::digest(payload).to_u64()`, hashed on this round's first
-    /// sight of the allocation.
-    fn digest(&mut self, payload: &Payload) -> u64 {
-        *self
-            .0
-            .entry((payload.as_ptr() as usize, payload.len()))
-            .or_insert_with(|| Sha256::digest(payload).to_u64())
-    }
-}
-
 /// Protocol dedup for one frame-major delivery round: a receiver applies
 /// each payload once per round, however many frames carry it (the hybrid
 /// copy, VLC relays, re-sent bytes).
 ///
 /// A frame never reaches the same receiver twice, so a receiver is checked
-/// only against the earlier frames of the round whose payload has the same
-/// SHA-256 dedup key. Each frame that applied anything keeps its receivers
-/// as one run of `applied` and links to the previous frame with the same
-/// key, so the round allocates nothing per frame once its buffers are warm.
+/// only against the earlier frames of the round that carry the same bytes.
+/// Each frame that applied anything keeps its receivers as one run of
+/// `applied` and links to the previous frame with the same bytes, so the
+/// round allocates nothing per frame once its buffers are warm.
 #[derive(Debug, Default)]
 struct RoundDedup {
-    /// Each distinct payload allocation's dedup key.
-    digests: PayloadDigests,
-    /// Dedup key → the latest entry of `frames` carrying it.
-    latest: FxHashMap<u64, usize>,
+    /// Payload bytes → the latest entry of `frames` carrying them.
+    latest: FxHashMap<Payload, usize>,
     /// The frames that applied at least one delivery, in delivery order.
     frames: Vec<AppliedFrame>,
     /// Receivers (vehicle indices) that applied each frame, frame by frame.
@@ -156,13 +125,13 @@ struct RoundDedup {
 #[derive(Debug)]
 struct AppliedFrame {
     start: usize,
-    /// The previous entry of `frames` with the same dedup key.
+    /// The previous entry of `frames` with the same bytes.
     prev: Option<usize>,
 }
 
 impl RoundDedup {
+    /// Ends the round, releasing its payload handles.
     fn clear(&mut self) {
-        self.digests.clear();
         self.latest.clear();
         self.frames.clear();
         self.applied.clear();
@@ -175,13 +144,12 @@ impl RoundDedup {
     }
 
     /// Whether receiver `rx` applies `payload`, the current frame's bytes:
-    /// false when `rx` already applied an earlier frame with the same dedup
-    /// key this round. The current frame's first call probes the digest
-    /// memo, so a frame no receiver accepts is never hashed.
+    /// false when `rx` already applied an earlier frame with the same bytes
+    /// this round. The current frame's first call looks its bytes up, so a
+    /// frame no receiver accepts is never hashed.
     fn admit(&mut self, rx: usize, payload: &Payload) -> bool {
         if !self.open {
-            let key = self.digests.digest(payload);
-            let prev = self.latest.insert(key, self.frames.len());
+            let prev = self.latest.insert(payload.clone(), self.frames.len());
             self.frames.push(AppliedFrame {
                 start: self.applied.len(),
                 prev,
@@ -1111,24 +1079,26 @@ impl Engine {
             &mut deliveries,
         );
         self.medium_pairs += step_stats.pairs_considered as u64;
-        // Per-tick max delivery latency: canonical NaN when nothing landed
-        // (the same convention as `per_frame_ratio`).
-        let tick_max_latency = deliveries
-            .iter()
-            .map(|d| d.latency)
-            .fold(f64::NAN, f64::max);
-        Self::trace_into(
-            &mut self.tracer,
-            tick,
-            now,
-            TracePhase::Medium,
-            TraceDetail::MediumStep {
-                offered: step_stats.offered as u64,
-                delivered: step_stats.delivered as u64,
-                lost: step_stats.lost as u64,
-                max_latency: tick_max_latency,
-            },
-        );
+        if self.tracer.is_some() {
+            // Per-tick max delivery latency: canonical NaN when nothing
+            // landed (the same convention as `per_frame_ratio`).
+            let tick_max_latency = deliveries
+                .iter()
+                .map(|d| d.latency)
+                .fold(f64::NAN, f64::max);
+            Self::trace_into(
+                &mut self.tracer,
+                tick,
+                now,
+                TracePhase::Medium,
+                TraceDetail::MediumStep {
+                    offered: step_stats.offered as u64,
+                    delivered: step_stats.delivered as u64,
+                    lost: step_stats.lost as u64,
+                    max_latency: tick_max_latency,
+                },
+            );
+        }
 
         for attack in self.attacks.iter_mut() {
             attack.observe(&mut self.world, &mut self.rng, &deliveries);
@@ -1431,25 +1401,29 @@ impl Engine {
             Err(reason) => reason,
         };
         self.rejected_messages += 1;
-        Self::trace_into(
-            &mut self.tracer,
-            self.steps_run,
-            now,
-            TracePhase::Defense,
-            TraceDetail::DefenseVerdict {
-                receiver: rx_idx as u64,
-                sender: env.sender.0,
-                reason: format!("{reason:?}"),
-            },
-        );
+        if self.tracer.is_some() {
+            Self::trace_into(
+                &mut self.tracer,
+                self.steps_run,
+                now,
+                TracePhase::Defense,
+                TraceDetail::DefenseVerdict {
+                    receiver: rx_idx as u64,
+                    sender: env.sender.0,
+                    reason: format!("{reason:?}"),
+                },
+            );
+        }
         None
     }
 
     /// Phase 3, one frame at a time. A frame's deliveries are adjacent (see
     /// [`Delivery::frame`]), so its envelope and message body are decoded
-    /// once and its digest probed once. Every delivery is still screened on
-    /// its own (its authenticator checked, every `filter_rx` run), then
-    /// deduplicated, observed and applied, in delivery order.
+    /// once, its bytes looked up for dedup once, and a beacon's claimed
+    /// position recorded once, at its first accepted delivery. Every
+    /// delivery is still screened on its own (its authenticator checked,
+    /// every `filter_rx` run), then deduplicated, observed and applied, in
+    /// delivery order.
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
         // Protocol dedup: in hybrid modes the same payload arrives on two
@@ -1457,7 +1431,6 @@ impl Engine {
         // join-request statistics) are not inflated. Defenses still see
         // every copy via filter_rx (the hybrid cross-validator needs both).
         let mut dedup = std::mem::take(&mut self.scratch.dedup);
-        dedup.clear();
         // Accepted message observations accumulate here in arrival order
         // and are handed to the detection pipeline in one batched ingest
         // after the loop. The constructed observations depend only on
@@ -1506,6 +1479,12 @@ impl Engine {
                 continue;
             };
             let body = self.open_body(&env);
+            // Every delivery of a frame claims the same position for its
+            // sender, which only `try_complete_joins` reads.
+            let mut claim = match &body {
+                Some(PlatoonMessage::Beacon(b)) => Some(b.position),
+                _ => None,
+            };
             dedup.next_frame();
             for delivery in frame {
                 let Some(rx_idx) = self.world.index_of_node(delivery.receiver) else {
@@ -1516,6 +1495,9 @@ impl Engine {
                 };
                 if !dedup.admit(rx_idx, &delivery.payload) {
                     continue; // duplicate channel copy already applied
+                }
+                if let Some(position) = claim.take() {
+                    self.claimed_positions.insert(env.sender, (position, now));
                 }
                 if wants_observations {
                     observations.push(Self::build_observation(
@@ -1541,6 +1523,7 @@ impl Engine {
         if let Some(sink) = self.obs_sink.as_mut() {
             sink.on_messages(&observations);
         }
+        dedup.clear();
         self.scratch.dedup = dedup;
         self.scratch.observations = observations;
     }
@@ -1760,8 +1743,6 @@ impl Engine {
     ) {
         match msg {
             PlatoonMessage::Beacon(b) => {
-                self.claimed_positions
-                    .insert(claimed_sender, (b.position, now));
                 let cached = Self::layout_of(&self.world, layout);
                 let local_idx = cached.local_index[rx_idx];
                 let leader_idx = cached.leader_index[rx_idx];
@@ -2465,22 +2446,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_digest_memo_is_the_sha256_dedup_key() {
-        let mut memo = PayloadDigests::default();
-        let beacon: Payload = b"sealed leader beacon".as_slice().into();
-        let want = Sha256::digest(&beacon).to_u64();
-        assert_eq!(memo.digest(&beacon), want);
-        // A clone shares the allocation: one entry, the same value.
-        assert_eq!(memo.digest(&beacon.clone()), want);
-        assert_eq!(memo.0.len(), 1);
-        // A byte copy is a second allocation with the same content hash,
-        // so protocol dedup still merges it with the original.
-        let copy: Payload = beacon.to_vec().into();
-        assert_eq!(memo.digest(&copy), want);
-        assert_eq!(memo.0.len(), 2);
-    }
-
-    #[test]
     fn rsu_node_ids_stay_clear_of_vehicle_ids() {
         // 1001 platoons of 10: vehicle node ids run past 10,000, where the
         // RSU ids of a smaller world start.
@@ -2536,7 +2501,8 @@ mod tests {
         // Frame 1 carries other bytes.
         dedup.next_frame();
         assert!(dedup.admit(1, &other));
-        // Frame 2 is a byte copy of frame 0: a new allocation, the same key.
+        // Frame 2 is a byte copy of frame 0 in its own allocation: the same
+        // bytes, so it merges.
         let copy: Payload = beacon.to_vec().into();
         dedup.next_frame();
         assert!(!dedup.admit(2, &copy));
@@ -2547,10 +2513,22 @@ mod tests {
         assert!(!dedup.admit(3, &beacon));
         assert!(!dedup.admit(1, &beacon));
         assert!(dedup.admit(4, &beacon));
-        // Three allocations were hashed, each once.
-        assert_eq!(dedup.digests.0.len(), 3);
-        // A new round forgets the last one.
+        // Bytes that differ from the beacon's never merge with it: one
+        // flipped byte, a strict prefix, and other bytes of equal length.
+        let mut flipped = beacon.to_vec();
+        flipped[7] ^= 1;
+        let near: [&[u8]; 3] = [&flipped, &beacon[..19], &[b'x'; 20]];
+        for bytes in near {
+            dedup.next_frame();
+            for rx in 1..=4 {
+                assert!(dedup.admit(rx, &bytes.into()), "{bytes:?} at {rx}");
+            }
+        }
+        // Two keys from the first four frames, one per near miss.
+        assert_eq!(dedup.latest.len(), 5);
+        // A new round forgets every key.
         dedup.clear();
+        assert!(dedup.latest.is_empty());
         dedup.next_frame();
         assert!(dedup.admit(2, &beacon));
     }

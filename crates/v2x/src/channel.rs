@@ -67,18 +67,6 @@ impl DsrcPhy {
         10f64.powf(budget / (10.0 * self.path_loss_exponent))
     }
 
-    /// The distance beyond which the *median* received power falls below
-    /// `floor_dbm`. Clamped to the 1 m reference distance (below which
-    /// [`Self::median_rx_power_dbm`] is constant), so any position whose
-    /// median power reaches the floor lies within the returned range — a
-    /// safe pruning radius for carrier-sense checks.
-    pub fn range_for_median_power_m(&self, tx_power_dbm: f64, floor_dbm: f64) -> f64 {
-        let budget = tx_power_dbm - self.reference_loss_db - floor_dbm;
-        10f64
-            .powf(budget / (10.0 * self.path_loss_exponent))
-            .max(1.0)
-    }
-
     /// Whether a signal at `signal_dbm` decodes against `interference_mw`
     /// milliwatts of co-channel interference.
     pub fn decodes(&self, signal_dbm: f64, interference_mw: f64) -> bool {
@@ -237,20 +225,6 @@ mod tests {
             (200.0..2000.0).contains(&range),
             "implausible nominal range {range} m"
         );
-    }
-
-    #[test]
-    fn median_power_range_is_a_safe_pruning_radius() {
-        let phy = DsrcPhy::default();
-        for floor in [-85.0, -70.0, -99.0] {
-            let r = phy.range_for_median_power_m(20.0, floor);
-            // Just inside: median power at or above the floor.
-            assert!(phy.median_rx_power_dbm(20.0, r * 0.999) >= floor);
-            // Just outside: below the floor.
-            assert!(phy.median_rx_power_dbm(20.0, r * 1.001) < floor);
-        }
-        // A hopeless budget still returns the 1 m clamp, never less.
-        assert_eq!(phy.range_for_median_power_m(-200.0, -85.0), 1.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! `std`'s default `RandomState` runs SipHash-1-3 with a per-process random
 //! key: resistant to collision flooding, but several times the cost of one
-//! multiply per word on the small integer keys the engine probes (node ids,
-//! payload digests, spatial-grid cells). Those keys come from the
+//! multiply per word on the keys the engine probes (node ids, spatial-grid
+//! cells, the bytes of a round's payloads). Those keys come from the
 //! simulation, never from the network, so flooding is not a threat there.
 //!
 //! The rule: maps keyed by simulation state use [`FxHashMap`] /

@@ -232,46 +232,28 @@ impl RadioMedium {
             })
             .collect();
         sched.sort_by(|a, b| a.start.total_cmp(&b.start));
+        self.defer(&mut sched);
+        sched
+    }
 
-        // Defer pass: each sender listens before transmitting. The pass is
-        // order-independent in j: `deferred_start` is the max of qualifying
-        // ends, and a skipped j can only be one whose `heard` test would
-        // have failed — so pruning by a carrier-sense range is exact.
-        //
-        // Under a finite horizon, prune candidate earlier senders to those
-        // within the carrier-sense range of the *loudest* frame: beyond
-        // that distance even the loudest frame's median power is below
-        // CARRIER_SENSE_DBM, so `heard` is false for every frame.
-        let cs_index = (self.radio_horizon_m.is_finite() && sched.len() > 1).then(|| {
-            let origins: Vec<Position> = sched.iter().map(|s| s.frame.origin).collect();
-            let loudest = sched
-                .iter()
-                .map(|s| s.frame.power_dbm)
-                .fold(f64::NEG_INFINITY, f64::max);
-            let cs_range = self
-                .dsrc
-                .range_for_median_power_m(loudest, CARRIER_SENSE_DBM);
-            (SpatialGrid::build(cs_range.max(1.0), &origins), cs_range)
-        });
-        let mut in_range: Vec<u32> = Vec::new();
+    /// The defer pass over a schedule sorted by drawn start: each sender
+    /// after the first starts at the latest end among the earlier frames it
+    /// can hear, or at its drawn start if that is later, and keeps its
+    /// airtime.
+    ///
+    /// Only a frame still on air at the sender's drawn start can move it,
+    /// so each sender scans the earlier frames whose end is after that
+    /// start. Drawn starts ascend, so a frame that has ended by one
+    /// sender's drawn start has ended by every later one's, and leaves the
+    /// list for good.
+    fn defer(&self, sched: &mut [ScheduledFrame]) {
+        let mut on_air: Vec<usize> = Vec::new();
         for i in 1..sched.len() {
-            let mut deferred_start = sched[i].start;
-            let candidates: &[u32] = match &cs_index {
-                Some((grid, cs_range)) => {
-                    grid.query_within(sched[i].frame.origin, *cs_range, &mut in_range);
-                    &in_range
-                }
-                None => {
-                    in_range.clear();
-                    in_range.extend(0..i as u32);
-                    &in_range
-                }
-            };
-            for &j in candidates {
-                let j = j as usize;
-                if j >= i {
-                    continue;
-                }
+            let drawn_start = sched[i].start;
+            on_air.push(i - 1);
+            on_air.retain(|&j| sched[j].end > drawn_start);
+            let mut deferred_start = drawn_start;
+            for &j in &on_air {
                 if sched[j].end > deferred_start {
                     // Can sender i hear sender j?
                     let d = distance(sched[i].frame.origin, sched[j].frame.origin);
@@ -286,7 +268,6 @@ impl RadioMedium {
             sched[i].start = deferred_start;
             sched[i].end = deferred_start + airtime;
         }
-        sched
     }
 
     /// C-V2X semi-persistent scheduling: deterministic slot from the sender
@@ -338,6 +319,13 @@ impl RadioMedium {
         } else {
             Vec::new()
         };
+        // Whether a jammer is on does not depend on the pair; the list keeps
+        // jammer order, so each pair sums its jammers as before.
+        let jammers: Vec<&Jammer> = rf
+            .jammers
+            .iter()
+            .filter(|jam| jam.target == channel && jam.is_active(rf.now, rf.traffic_on_air))
+            .collect();
         let sweep = AirtimeSweep::new(scheduled);
         let mut rx_cand: Vec<u32> = Vec::new();
         let mut interferers: Vec<u32> = Vec::new();
@@ -363,10 +351,8 @@ impl RadioMedium {
                 // channel (hidden terminals) plus jammers targeting it.
                 let mut interference_mw =
                     self.frame_interference_mw(scheduled, &interferers, rx.position);
-                for jam in rf.jammers {
-                    if jam.target == channel && jam.is_active(rf.now, rf.traffic_on_air) {
-                        interference_mw += jam.interference_mw(&self.dsrc, rx.position);
-                    }
+                for jam in &jammers {
+                    interference_mw += jam.interference_mw(&self.dsrc, rx.position);
                 }
 
                 if rf.reception.decodes(signal_dbm, interference_mw) {
@@ -478,12 +464,17 @@ impl AirtimeSweep {
 mod tests {
     use super::*;
     use crate::channel::mw_to_dbm;
+    use crate::jamming::JammingStrategy;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
     }
+
+    /// The step time of the reference checks, inside some periodic
+    /// jammers' off phase.
+    const NOW: f64 = 0.25;
 
     fn frame(sender: u64, x: f64, channel: ChannelKind) -> Frame {
         sized_frame(sender, x, channel, 60)
@@ -641,28 +632,104 @@ mod tests {
         assert!(d.is_empty(), "VLC should not reach 50 m");
     }
 
-    #[test]
-    fn csma_serialises_in_range_senders() {
-        let medium = RadioMedium::default();
-        // Two senders 10 m apart can hear each other: their frames must not
-        // overlap after the defer pass.
-        let frames = [
-            frame(0, 0.0, ChannelKind::Dsrc),
-            frame(1, 10.0, ChannelKind::Dsrc),
-        ];
-        let refs = on_channel(&frames, ChannelKind::Dsrc);
-        let mut rng = rng();
-        for _ in 0..50 {
-            let sched = medium.schedule_csma(&refs, &mut rng);
-            assert!(
-                sched[0].end <= sched[1].start + 1e-12,
-                "frames overlap: [{}, {}] vs [{}, {}]",
-                sched[0].start,
-                sched[0].end,
-                sched[1].start,
-                sched[1].end
-            );
+    /// A slot of a schedule: its frame's index and the bits of its start
+    /// and end.
+    fn bits(s: &ScheduledFrame) -> (u32, u64, u64) {
+        (s.index, s.start.to_bits(), s.end.to_bits())
+    }
+
+    /// The reference CSMA schedule of `frames`: each start drawn as
+    /// `schedule_csma` draws it, then, in drawn-start order, each frame
+    /// after the first moved to the latest end over every earlier frame it
+    /// hears (if later), with no index and no on-air list.
+    fn reference_csma(
+        medium: &RadioMedium,
+        frames: &[(u32, &Frame)],
+        rng: &mut StdRng,
+    ) -> Vec<(u32, u64, u64)> {
+        let mut sched: Vec<ScheduledFrame> = frames
+            .iter()
+            .map(|&(index, f)| {
+                let airtime = f.airtime(medium.dsrc.bitrate);
+                let start = rng.gen_range(0.0..(medium.step_len - airtime).max(1e-6));
+                let end = start + airtime;
+                let frame = f.clone();
+                ScheduledFrame {
+                    index,
+                    frame,
+                    start,
+                    end,
+                }
+            })
+            .collect();
+        sched.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for i in 1..sched.len() {
+            let mut start = sched[i].start;
+            for j in 0..i {
+                let d = distance(sched[i].frame.origin, sched[j].frame.origin);
+                if medium.dsrc.median_rx_power_dbm(sched[j].frame.power_dbm, d) >= CARRIER_SENSE_DBM
+                {
+                    start = start.max(sched[j].end);
+                }
+            }
+            let airtime = sched[i].end - sched[i].start;
+            sched[i].start = start;
+            sched[i].end = start + airtime;
         }
+        sched.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn csma_defers_exactly_like_the_reference() {
+        // Hand-built drawn starts. Frames 0 and 1, 100 m apart, draw the
+        // same start, so 1 defers to 0. That pushes 1 past frame 2's drawn
+        // start, so 2 must defer to 1. Frame 3 hears only frame 0 (the
+        // others are over 395 m away) and draws its start before 0 ends;
+        // 1 and 2 start at or after that end, so a list pruned by their
+        // deferred starts would have dropped 0.
+        let drawn = [(0.0, 0.0), (0.0, 100.0), (0.0001, 200.0), (0.00015, -350.0)];
+        let mut sched: Vec<ScheduledFrame> = (0..4)
+            .map(|i| ScheduledFrame {
+                index: i as u32,
+                frame: frame(i as u64, drawn[i].1, ChannelKind::Dsrc),
+                start: drawn[i].0,
+                end: drawn[i].0 + 0.0002,
+            })
+            .collect();
+        RadioMedium::default().defer(&mut sched);
+        let starts: Vec<f64> = sched.iter().map(|s| s.start).collect();
+        assert_eq!(starts, [0.0, sched[0].end, sched[1].end, sched[0].end]);
+
+        // Drawn starts: senders 50 m apart along 4 km at three powers and
+        // sizes hear only their neighbourhood, and deferrals cascade within
+        // the 4 ms step. The horizon must not matter.
+        let frames: Vec<Frame> = (0..80u64)
+            .map(|i| {
+                let k = i as usize % 3;
+                let f = sized_frame(i, i as f64 * 50.0, ChannelKind::Dsrc, 60 + 90 * k);
+                Frame {
+                    power_dbm: [20.0, 10.0, 23.0][k],
+                    ..f
+                }
+            })
+            .collect();
+        let refs = on_channel(&frames, ChannelKind::Dsrc);
+        let mut deferred = 0;
+        for horizon in [f64::INFINITY, 1.0e5, 250.0] {
+            let medium = RadioMedium {
+                step_len: 0.004,
+                radio_horizon_m: horizon,
+                ..RadioMedium::default()
+            };
+            for seed in 0..10 {
+                let got = medium.schedule_csma(&refs, &mut StdRng::seed_from_u64(seed));
+                let got: Vec<_> = got.iter().map(bits).collect();
+                let want = reference_csma(&medium, &refs, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got, want, "horizon {horizon}, seed {seed}");
+                deferred += got.windows(2).filter(|w| w[1].1 == w[0].2).count();
+            }
+        }
+        assert!(deferred > 0, "no sender deferred to the frame before it");
     }
 
     #[test]
@@ -819,7 +886,7 @@ mod tests {
                 );
                 let mut jam_mw = 0.0;
                 for jam in jammers {
-                    if jam.target == channel && jam.is_active(0.0, true) {
+                    if jam.target == channel && jam.is_active(NOW, true) {
                         let mw = jam.interference_mw(phy, rx.position);
                         interference_mw += mw;
                         jam_mw += mw;
@@ -857,7 +924,7 @@ mod tests {
     ) -> usize {
         let horizon = medium.radio_horizon_m;
         let rf = RfStep {
-            now: 0.0,
+            now: NOW,
             receivers,
             jammers,
             traffic_on_air: true,
@@ -953,16 +1020,31 @@ mod tests {
         );
 
         // DSRC: senders 450 m apart cannot carrier-sense each other, so in
-        // a short step they all collide at the receivers between them; a
-        // DSRC jammer adds to the budget.
+        // a short step they all collide at the receivers between them. The
+        // DSRC jammers that are on at `NOW` (continuous, periodic, reactive)
+        // add to the budget; a loud periodic one that is off and a loud
+        // C-V2X one must not.
         let dsrc: Vec<Frame> = (0..5u64)
             .map(|i| frame(i, i as f64 * 450.0, ChannelKind::Dsrc))
             .collect();
+        let periodic = |on, off| JammingStrategy::Periodic { on, off };
+        let dsrc_jammers = [
+            (JammingStrategy::Continuous, ChannelKind::Dsrc, 900.0, -5.0),
+            (periodic(0.1, 0.2), ChannelKind::Dsrc, 400.0, 30.0),
+            (periodic(0.3, 0.1), ChannelKind::Dsrc, 1500.0, -8.0),
+            (JammingStrategy::Continuous, ChannelKind::CV2x, 1000.0, 30.0),
+            (JammingStrategy::Reactive, ChannelKind::Dsrc, 200.0, -10.0),
+        ]
+        .map(|(strategy, target, x, power_dbm)| Jammer {
+            strategy,
+            target,
+            ..Jammer::continuous((x, 20.0), power_dbm)
+        });
         let lost = interferer_list_matches_reference(
             ChannelKind::Dsrc,
             &dsrc,
             &receivers,
-            &[Jammer::continuous((900.0, 20.0), -5.0)],
+            &dsrc_jammers,
             0.0005,
         );
         assert!(lost > 0, "no DSRC delivery was lost to a hidden terminal");

@@ -1,8 +1,7 @@
 //! Metamorphic check on protocol dedup: a receiver that hears the same
 //! sealed bytes twice in one step applies them once, whether the second
 //! copy shares the first one's allocation or holds a fresh copy of its
-//! bytes. The engine memoises each payload's dedup hash by allocation, so
-//! this pins that dedup itself still keys on content.
+//! bytes. This pins that dedup keys on content, not on the allocation.
 //!
 //! A detector pipeline is attached so that a second application of the
 //! copy would also show up as an extra `perf.detector_observations`.
