@@ -15,7 +15,6 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_crypto::replay::{ReplayVerdict, SequenceWindow, TimestampWindow};
-use platoon_proto::envelope::Envelope;
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
@@ -105,28 +104,25 @@ impl Defense for AntiReplayDefense {
         receiver_idx: usize,
         _world: &World,
         _delivery: &Delivery,
-        envelope: &Envelope,
+        sender: PrincipalId,
+        msg: &PlatoonMessage,
         now: f64,
     ) -> Result<(), RejectReason> {
-        let Ok(msg) = envelope.open_unverified() else {
-            // Malformed payloads are not this defense's concern.
-            return Ok(());
-        };
         let verdict = match self.kind {
             ReplayWindowKind::Timestamp { max_age } => {
                 let w = self
                     .ts_windows
                     .entry(receiver_idx)
                     .or_insert_with(|| TimestampWindow::new(max_age));
-                w.check(envelope.sender, msg.timestamp(), now)
+                w.check(sender, msg.timestamp(), now)
             }
             ReplayWindowKind::Sequence { width } => {
-                if let PlatoonMessage::Beacon(b) = &msg {
+                if let PlatoonMessage::Beacon(b) = msg {
                     let w = self
                         .seq_windows
                         .entry(receiver_idx)
                         .or_insert_with(|| SequenceWindow::new(width));
-                    w.check(envelope.sender, b.seq)
+                    w.check(sender, b.seq)
                 } else {
                     // Manoeuvre messages carry no sequence number: fall back
                     // to a timestamp check with a generous bound.
@@ -134,7 +130,7 @@ impl Defense for AntiReplayDefense {
                         .ts_windows
                         .entry(receiver_idx)
                         .or_insert_with(|| TimestampWindow::new(1.0));
-                    w.check(envelope.sender, msg.timestamp(), now)
+                    w.check(sender, msg.timestamp(), now)
                 }
             }
         };
@@ -165,10 +161,11 @@ mod tests {
     use platoon_attacks::prelude::*;
     use platoon_sim::prelude::*;
 
-    fn scenario(label: &str) -> Scenario {
+    fn scenario(label: &str, auth: AuthMode) -> Scenario {
         use platoon_dynamics::profiles::SpeedProfile;
         Scenario::builder()
             .label(label)
+            .auth(auth)
             .vehicles(6)
             .duration(60.0)
             .profile(SpeedProfile::BrakeTest {
@@ -181,8 +178,8 @@ mod tests {
             .build()
     }
 
-    fn run_with(defense: Option<AntiReplayDefense>) -> (RunSummary, Option<u64>) {
-        let mut engine = Engine::new(scenario("anti-replay"));
+    fn run_with(auth: AuthMode, defense: Option<AntiReplayDefense>) -> (RunSummary, Option<u64>) {
+        let mut engine = Engine::new(scenario("anti-replay", auth));
         engine.add_attack(Box::new(ReplayAttack::new(ReplayConfig::default())));
         let has_defense = defense.is_some();
         if let Some(d) = defense {
@@ -199,28 +196,34 @@ mod tests {
         (s, rejected)
     }
 
+    /// Asserts that `defense` filters the replayed stream and cuts the
+    /// oscillation it causes, both on plain frames and under
+    /// encrypt-then-MAC, where the message reads only once decrypted.
+    fn neutralises_replay(defense: fn() -> AntiReplayDefense) {
+        for auth in [AuthMode::None, AuthMode::EncryptedGroupMac] {
+            let (undefended, _) = run_with(auth, None);
+            let (defended, rejected) = run_with(auth, Some(defense()));
+            assert!(
+                rejected.unwrap() > 500,
+                "{auth:?}: replays must be filtered: {rejected:?}"
+            );
+            assert!(
+                defended.oscillation_energy < 0.5 * undefended.oscillation_energy,
+                "{auth:?}: defense must cut oscillation: {} vs {}",
+                defended.oscillation_energy,
+                undefended.oscillation_energy
+            );
+        }
+    }
+
     #[test]
     fn timestamp_window_neutralises_replay() {
-        let (undefended, _) = run_with(None);
-        let (defended, rejected) = run_with(Some(AntiReplayDefense::timestamp()));
-        assert!(
-            rejected.unwrap() > 500,
-            "replays must be filtered: {rejected:?}"
-        );
-        assert!(
-            defended.oscillation_energy < 0.5 * undefended.oscillation_energy,
-            "defense must cut oscillation: {} vs {}",
-            defended.oscillation_energy,
-            undefended.oscillation_energy
-        );
+        neutralises_replay(AntiReplayDefense::timestamp);
     }
 
     #[test]
     fn sequence_window_neutralises_replay() {
-        let (undefended, _) = run_with(None);
-        let (defended, rejected) = run_with(Some(AntiReplayDefense::sequence()));
-        assert!(rejected.unwrap() > 500);
-        assert!(defended.oscillation_energy < 0.5 * undefended.oscillation_energy);
+        neutralises_replay(AntiReplayDefense::sequence);
     }
 
     #[test]
@@ -229,7 +232,7 @@ mod tests {
             AntiReplayDefense::timestamp(),
             AntiReplayDefense::sequence(),
         ] {
-            let mut engine = Engine::new(scenario("honest"));
+            let mut engine = Engine::new(scenario("honest", AuthMode::None));
             engine.add_defense(Box::new(d));
             let s = engine.run();
             assert_eq!(s.collisions, 0);

@@ -15,13 +15,13 @@
 //! * **OR-fallback** ([`HybridPolicy::EitherChannel`]) — any channel
 //!   suffices (availability-first: survives jamming, but injectable).
 
-use platoon_crypto::sha256::Sha256;
-use platoon_proto::envelope::Envelope;
+use platoon_crypto::cert::PrincipalId;
+use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, RejectReason};
 use platoon_sim::world::World;
-use platoon_v2x::message::{ChannelKind, Delivery};
+use platoon_v2x::hash::FxHashMap;
+use platoon_v2x::message::{ChannelKind, Delivery, Payload};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Cross-channel validation policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,8 +71,8 @@ impl Default for HybridConfig {
 #[derive(Clone, Debug)]
 pub struct HybridConfirmDefense {
     config: HybridConfig,
-    /// (receiver, payload hash) → (first channel seen, time).
-    seen: HashMap<(usize, u64), (ChannelKind, f64)>,
+    /// (receiver, payload bytes) → (first channel seen, time).
+    seen: FxHashMap<(usize, Payload), (ChannelKind, f64)>,
     confirmed: u64,
     rejected: u64,
 }
@@ -82,7 +82,7 @@ impl HybridConfirmDefense {
     pub fn new(config: HybridConfig) -> Self {
         HybridConfirmDefense {
             config,
-            seen: HashMap::new(),
+            seen: FxHashMap::default(),
             confirmed: 0,
             rejected: 0,
         }
@@ -97,10 +97,6 @@ impl HybridConfirmDefense {
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
-
-    fn payload_key(receiver: usize, payload: &[u8]) -> (usize, u64) {
-        (receiver, Sha256::digest(payload).to_u64())
-    }
 }
 
 impl Defense for HybridConfirmDefense {
@@ -113,7 +109,8 @@ impl Defense for HybridConfirmDefense {
         receiver_idx: usize,
         _world: &World,
         delivery: &Delivery,
-        envelope: &Envelope,
+        _sender: PrincipalId,
+        msg: &PlatoonMessage,
         now: f64,
     ) -> Result<(), RejectReason> {
         if self.config.policy == HybridPolicy::EitherChannel {
@@ -121,11 +118,7 @@ impl Defense for HybridConfirmDefense {
         }
         // Only manoeuvre messages need both channels: beacons pass, and the
         // control-level plausibility checks validate them instead.
-        let is_maneuver = envelope
-            .open_unverified()
-            .map(|m| m.is_maneuver())
-            .unwrap_or(false);
-        if !is_maneuver {
+        if !msg.is_maneuver() {
             return Ok(());
         }
 
@@ -133,7 +126,7 @@ impl Defense for HybridConfirmDefense {
         let window = self.config.window;
         self.seen.retain(|_, (_, t)| now - *t <= window + 1.0);
 
-        let key = Self::payload_key(receiver_idx, &delivery.payload);
+        let key = (receiver_idx, delivery.payload.clone());
         match self.seen.get(&key) {
             Some(&(first_channel, t)) if first_channel != delivery.channel && now - t <= window => {
                 self.confirmed += 1;

@@ -17,7 +17,6 @@
 //! snapshot each vehicle holds refreshes whenever an RSU is in range.
 
 use platoon_crypto::cert::PrincipalId;
-use platoon_proto::envelope::Envelope;
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
@@ -141,7 +140,8 @@ impl Defense for RsuDefense {
         _receiver_idx: usize,
         world: &World,
         _delivery: &Delivery,
-        envelope: &Envelope,
+        sender: PrincipalId,
+        msg: &PlatoonMessage,
         _now: f64,
     ) -> Result<(), RejectReason> {
         // RSU services are only available while one is reachable — the
@@ -149,10 +149,7 @@ impl Defense for RsuDefense {
         if !self.rsu_in_range(world) {
             return Ok(());
         }
-        let Ok(msg) = envelope.open_unverified() else {
-            return Ok(());
-        };
-        match msg {
+        match *msg {
             // Join requests from unregistered identities are refused at
             // reception, before they touch the manoeuvre engine.
             PlatoonMessage::JoinRequest { requester, .. }
@@ -175,19 +172,19 @@ impl Defense for RsuDefense {
                 // the paper's division of labour: RSUs *detect*
                 // impersonation.
                 let now_key = b.timestamp;
-                if let Some(&(t0, p0, v0)) = self.last_claims.get(&envelope.sender) {
+                if let Some(&(t0, p0, v0)) = self.last_claims.get(&sender) {
                     if (now_key - t0).abs() < 1e-6
                         && ((b.position - p0).abs() > 5.0 || (b.speed - v0).abs() > 1.0)
-                        && self.flagged.insert(envelope.sender)
+                        && self.flagged.insert(sender)
                     {
                         self.pending_detections.push(DetectionEvent {
-                            suspect: envelope.sender,
+                            suspect: sender,
                             detector: "rsu-monitor",
                         });
                     }
                 }
                 self.last_claims
-                    .insert(envelope.sender, (now_key, b.position, b.speed));
+                    .insert(sender, (now_key, b.position, b.speed));
             }
             _ => {}
         }

@@ -15,7 +15,6 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_detect::checks::{claim_faults, ClaimSnapshot, KinematicLimits};
-use platoon_proto::envelope::Envelope;
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
@@ -210,23 +209,17 @@ impl Defense for TrustDefense {
         receiver_idx: usize,
         _world: &World,
         _delivery: &Delivery,
-        envelope: &Envelope,
+        sender: PrincipalId,
+        msg: &PlatoonMessage,
         now: f64,
     ) -> Result<(), RejectReason> {
-        if self.evicted.contains_key(&envelope.sender) {
+        if self.evicted.contains_key(&sender) {
             self.rejected += 1;
             return Err(RejectReason::Distrusted);
         }
-        if let Ok(PlatoonMessage::Beacon(b)) = envelope.open_unverified() {
-            self.observe_beacon(
-                receiver_idx,
-                envelope.sender,
-                now,
-                b.position,
-                b.speed,
-                b.accel,
-            );
-            if self.evicted.contains_key(&envelope.sender) {
+        if let PlatoonMessage::Beacon(b) = msg {
+            self.observe_beacon(receiver_idx, sender, now, b.position, b.speed, b.accel);
+            if self.evicted.contains_key(&sender) {
                 self.rejected += 1;
                 return Err(RejectReason::Distrusted);
             }
@@ -234,13 +227,7 @@ impl Defense for TrustDefense {
         Ok(())
     }
 
-    fn authorize_join(
-        &mut self,
-        requester: PrincipalId,
-        _envelope: &Envelope,
-        _world: &World,
-        _now: f64,
-    ) -> bool {
+    fn authorize_join(&mut self, requester: PrincipalId) -> bool {
         !self.evicted.contains_key(&requester)
             && self.trust_of(requester) >= self.config.eviction_threshold
     }

@@ -22,7 +22,6 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_detect::checks;
-use platoon_proto::envelope::Envelope;
 use platoon_proto::messages::PlatoonMessage;
 use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
@@ -188,35 +187,22 @@ impl Defense for VpdAdaDefense {
         receiver_idx: usize,
         world: &World,
         delivery: &Delivery,
-        envelope: &Envelope,
+        sender: PrincipalId,
+        msg: &PlatoonMessage,
         now: f64,
     ) -> Result<(), RejectReason> {
-        if self.config.evict_confirmed && self.confirmed.contains_key(&envelope.sender) {
+        if self.config.evict_confirmed && self.confirmed.contains_key(&sender) {
             self.rejected += 1;
             return Err(RejectReason::Distrusted);
         }
-        let Ok(msg) = envelope.open_unverified() else {
-            return Ok(());
-        };
-
-        // Extract the position the message claims its sender occupies.
-        let claimed_position = match &msg {
-            PlatoonMessage::Beacon(b) => Some(b.position),
-            PlatoonMessage::JoinRequest { position, .. } => Some(*position),
-            _ => None,
-        };
+        let claimed_position = msg.claimed_position();
 
         // Co-location check: nobody can claim to stand where another
         // physical platoon vehicle already is.
         if self.config.colocation_check {
             if let Some(claimed) = claimed_position {
-                let impossible = world.vehicles.iter().any(|v| {
-                    v.principal != envelope.sender
-                        && (v.vehicle.state.position - claimed).abs()
-                            < v.vehicle.params.length * 0.5
-                });
-                if impossible {
-                    self.violate(receiver_idx, envelope.sender, now);
+                if world.colocation_conflict(sender, claimed) {
+                    self.violate(receiver_idx, sender, now);
                     self.rejected += 1;
                     return Err(RejectReason::Implausible);
                 }
@@ -226,22 +212,17 @@ impl Defense for VpdAdaDefense {
         // RSSI location check (RF channels only; VLC has no meaningful RSSI).
         if self.config.rssi_check && delivery.channel != ChannelKind::Vlc {
             if let Some(claimed) = claimed_position {
-                let rx = &world.vehicles[receiver_idx];
-                let d = platoon_v2x::message::distance((claimed, 0.0), rx.position());
-                let expected = world
-                    .medium
-                    .dsrc
-                    .median_rx_power_dbm(world.medium.dsrc.default_tx_power_dbm, d);
+                let expected = world.expected_rssi_dbm(receiver_idx, claimed);
                 if checks::rssi_anomaly(expected, delivery.rssi_dbm, self.config.rssi_threshold_db)
                 {
-                    self.violate(receiver_idx, envelope.sender, now);
+                    self.violate(receiver_idx, sender, now);
                     self.rejected += 1;
                     return Err(RejectReason::Implausible);
                 }
                 // A passing RSSI check is weak positive evidence; decay the
                 // counter so honest fading outliers never accumulate to a
                 // confirmation.
-                if let Some(c) = self.violations.get_mut(&(receiver_idx, envelope.sender)) {
+                if let Some(c) = self.violations.get_mut(&(receiver_idx, sender)) {
                     *c = c.saturating_sub(1);
                 }
             }
@@ -249,9 +230,9 @@ impl Defense for VpdAdaDefense {
 
         // Ranging cross-check for predecessor beacons.
         if receiver_idx > 0 {
-            if let PlatoonMessage::Beacon(b) = &msg {
+            if let PlatoonMessage::Beacon(b) = msg {
                 let pred_principal = world.vehicles[receiver_idx - 1].principal;
-                if envelope.sender == pred_principal {
+                if sender == pred_principal {
                     let rx = &world.vehicles[receiver_idx];
                     let claimed_gap = b.position - b.length - rx.vehicle.state.position;
                     let measured_gap = world.true_gap(receiver_idx).unwrap_or(claimed_gap);
@@ -267,24 +248,18 @@ impl Defense for VpdAdaDefense {
                         self.config.gap_threshold,
                         self.config.speed_threshold,
                     ) {
-                        self.violate(receiver_idx, envelope.sender, now);
+                        self.violate(receiver_idx, sender, now);
                         self.rejected += 1;
                         return Err(RejectReason::Implausible);
                     }
-                    self.clear(receiver_idx, envelope.sender);
+                    self.clear(receiver_idx, sender);
                 }
             }
         }
         Ok(())
     }
 
-    fn authorize_join(
-        &mut self,
-        requester: PrincipalId,
-        _envelope: &Envelope,
-        _world: &World,
-        _now: f64,
-    ) -> bool {
+    fn authorize_join(&mut self, requester: PrincipalId) -> bool {
         // Confirmed suspects are never admitted.
         !self.confirmed.contains_key(&requester)
     }

@@ -233,6 +233,16 @@ impl PlatoonMessage {
         }
     }
 
+    /// The road position the message claims its sender occupies: a
+    /// beacon's position or a join request's.
+    pub fn claimed_position(&self) -> Option<f64> {
+        match self {
+            PlatoonMessage::Beacon(b) => Some(b.position),
+            PlatoonMessage::JoinRequest { position, .. } => Some(*position),
+            _ => None,
+        }
+    }
+
     /// Whether this is a manoeuvre (non-beacon) message — the class the
     /// fake-manoeuvre attack injects.
     pub fn is_maneuver(&self) -> bool {

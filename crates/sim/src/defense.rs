@@ -9,7 +9,7 @@
 
 use crate::world::World;
 use platoon_crypto::cert::PrincipalId;
-use platoon_proto::envelope::Envelope;
+use platoon_proto::messages::PlatoonMessage;
 use platoon_v2x::message::Delivery;
 use rand::rngs::StdRng;
 use std::any::Any;
@@ -56,15 +56,18 @@ pub trait Defense: fmt::Debug {
     /// Short identifier, e.g. `"pki"`.
     fn name(&self) -> &'static str;
 
-    /// Admission decision for a received envelope at vehicle
-    /// `receiver_idx`. All active defenses must accept for the message to be
-    /// processed. The default accepts everything.
+    /// Admission decision for a delivery at vehicle `receiver_idx` that
+    /// passed engine-level authentication: `msg` is the message the engine
+    /// opened (decrypted under an encrypting key scheme) and would apply,
+    /// claimed by `sender`. All active defenses must accept for the message
+    /// to be processed. The default accepts everything.
     fn filter_rx(
         &mut self,
         _receiver_idx: usize,
         _world: &World,
         _delivery: &Delivery,
-        _envelope: &Envelope,
+        _sender: PrincipalId,
+        _msg: &PlatoonMessage,
         _now: f64,
     ) -> Result<(), RejectReason> {
         Ok(())
@@ -73,13 +76,7 @@ pub trait Defense: fmt::Debug {
     /// Whether a join request from `requester` should be treated as
     /// presenting valid credentials. Defaults to `true` — the undefended
     /// leader cannot tell ghosts from vehicles (§V-A.2).
-    fn authorize_join(
-        &mut self,
-        _requester: PrincipalId,
-        _envelope: &Envelope,
-        _world: &World,
-        _now: f64,
-    ) -> bool {
+    fn authorize_join(&mut self, _requester: PrincipalId) -> bool {
         true
     }
 

@@ -1378,23 +1378,23 @@ impl Engine {
 
     /// Engine-level authentication, then the frame's opened `body` (a body
     /// that did not open fails authentication), then every defense's
-    /// `filter_rx`. The first refusal rejects the delivery: it is counted
-    /// in `rejected_messages` and traced as a defense verdict, and `None`
-    /// comes back.
-    fn screen(
+    /// `filter_rx` on that body. The first refusal rejects the delivery: it
+    /// is counted in `rejected_messages` and traced as a defense verdict,
+    /// and `None` comes back; an accepted delivery gets its body back.
+    fn screen<'m>(
         &mut self,
         rx_idx: usize,
         delivery: &Delivery,
         env: &Envelope,
-        body: Option<&PlatoonMessage>,
+        body: Option<&'m PlatoonMessage>,
         now: f64,
-    ) -> Option<PlatoonMessage> {
+    ) -> Option<&'m PlatoonMessage> {
         let verdict = self.authenticate(env, now).and_then(|()| {
             let msg = body.ok_or(RejectReason::AuthFailed)?;
             for defense in self.defenses.iter_mut() {
-                defense.filter_rx(rx_idx, &self.world, delivery, env, now)?;
+                defense.filter_rx(rx_idx, &self.world, delivery, env.sender, msg, now)?;
             }
-            Ok(msg.clone())
+            Ok(msg)
         });
         let reason = match verdict {
             Ok(msg) => return Some(msg),
@@ -1420,10 +1420,11 @@ impl Engine {
     /// Phase 3, one frame at a time. A frame's deliveries are adjacent (see
     /// [`Delivery::frame`]), so its envelope and message body are decoded
     /// once, its bytes looked up for dedup once, and a beacon's claimed
-    /// position recorded once, at its first accepted delivery. Every
-    /// delivery is still screened on its own (its authenticator checked,
-    /// every `filter_rx` run), then deduplicated, observed and applied, in
-    /// delivery order.
+    /// position recorded once, at its first accepted delivery. That decode
+    /// is the only one on the receive path: every delivery is still
+    /// screened on its own (its authenticator checked, every `filter_rx`
+    /// run), then deduplicated, observed and applied, in delivery order,
+    /// and each of those steps borrows the one opened body.
     fn process_deliveries(&mut self, deliveries: &[Delivery], now: f64) {
         self.perf.deliveries += deliveries.len() as u64;
         // Protocol dedup: in hybrid modes the same payload arrives on two
@@ -1505,12 +1506,19 @@ impl Engine {
                         rx_idx,
                         delivery,
                         &env,
-                        &msg,
+                        msg,
                         now,
                         coloc.as_ref(),
                     ));
                 }
-                self.apply_message(rx_idx, env.sender, &env, msg, now, &mut layout_cache);
+                self.apply_message(
+                    rx_idx,
+                    env.sender,
+                    msg,
+                    &delivery.payload,
+                    now,
+                    &mut layout_cache,
+                );
             }
         }
         if tail_heard_leader {
@@ -1553,22 +1561,12 @@ impl Engine {
         let rx = &world.vehicles[rx_idx];
         // The position the message claims its sender occupies (for RSSI and
         // co-location context).
-        let claimed_position = match msg {
-            PlatoonMessage::Beacon(b) => Some(b.position),
-            PlatoonMessage::JoinRequest { position, .. } => Some(*position),
-            _ => None,
-        };
+        let claimed_position = msg.claimed_position();
         // RSSI the claimed position would predict (RF channels only; VLC
         // has no meaningful received-power model).
         let expected_rssi_dbm = match (claimed_position, delivery.channel) {
             (Some(claimed), ChannelKind::Dsrc | ChannelKind::CV2x) => {
-                let d = platoon_v2x::message::distance((claimed, 0.0), rx.position());
-                Some(
-                    world
-                        .medium
-                        .dsrc
-                        .median_rx_power_dbm(world.medium.dsrc.default_tx_power_dbm, d),
-                )
+                Some(world.expected_rssi_dbm(rx_idx, claimed))
             }
             _ => None,
         };
@@ -1580,17 +1578,10 @@ impl Engine {
                 // reproduces the scan's answer.
                 Some((grid, radius)) if claimed.is_finite() => {
                     grid.any_within((claimed, 0.0), *radius, |i| {
-                        let v = &world.vehicles[i];
-                        v.principal != env.sender
-                            && (v.vehicle.state.position - claimed).abs()
-                                < v.vehicle.params.length * 0.5
+                        world.occupies(i, env.sender, claimed)
                     })
                 }
-                _ => world.vehicles.iter().any(|v| {
-                    v.principal != env.sender
-                        && (v.vehicle.state.position - claimed).abs()
-                            < v.vehicle.params.length * 0.5
-                }),
+                _ => world.colocation_conflict(env.sender, claimed),
             }
         });
         let ctx = ObserverContext {
@@ -1732,16 +1723,18 @@ impl Engine {
         cache.get_or_insert_with(|| world.platoon_layout())
     }
 
+    /// Applies one accepted delivery of `msg`, claimed by `claimed_sender`
+    /// and received as `payload`, at vehicle `rx_idx`.
     fn apply_message(
         &mut self,
         rx_idx: usize,
         claimed_sender: PrincipalId,
-        env: &Envelope,
-        msg: PlatoonMessage,
+        msg: &PlatoonMessage,
+        payload: &Payload,
         now: f64,
         layout: &mut Option<PlatoonLayout>,
     ) {
-        match msg {
+        match *msg {
             PlatoonMessage::Beacon(b) => {
                 let cached = Self::layout_of(&self.world, layout);
                 let local_idx = cached.local_index[rx_idx];
@@ -1766,10 +1759,12 @@ impl Engine {
                     let leader_principal = self.world.vehicles[leader_idx].principal;
                     if claimed_sender == leader_principal {
                         self.world.vehicles[rx_idx].comm.leader = Some(heard);
-                        // The stored wire image only feeds VLC relaying.
+                        // The received bytes only feed VLC relaying. They
+                        // equal the envelope's re-encoding: the wire format
+                        // is canonical.
                         if self.scenario.comms == CommsMode::HybridVlc {
                             self.world.vehicles[rx_idx].comm.leader_envelope =
-                                Some(env.encode().into());
+                                Some(payload.clone());
                         }
                     }
                 }
@@ -1791,13 +1786,10 @@ impl Engine {
                 if rx_idx != 0 || self.world.vehicles[rx_idx].platoon != platoon {
                     return;
                 }
-                let mut credentials_ok = true;
-                for defense in self.defenses.iter_mut() {
-                    if !defense.authorize_join(requester, env, &self.world, now) {
-                        credentials_ok = false;
-                        break;
-                    }
-                }
+                let credentials_ok = self
+                    .defenses
+                    .iter_mut()
+                    .all(|defense| defense.authorize_join(requester));
                 let slot_hint = self.slot_for_position(position);
                 let outcome = self.maneuvers.handle_join_request_with_slot(
                     requester,

@@ -12,7 +12,7 @@ use platoon_proto::messages::{PlatoonId, Role};
 use platoon_v2x::hash::FxHashMap;
 use platoon_v2x::jamming::Jammer;
 use platoon_v2x::medium::RadioMedium;
-use platoon_v2x::message::{NodeId, Payload, Position};
+use platoon_v2x::message::{distance, NodeId, Payload, Position};
 
 /// Credential material a vehicle uses to seal outgoing messages.
 #[derive(Clone, Debug)]
@@ -264,6 +264,30 @@ impl World {
             return None;
         }
         Some(self.vehicles[idx - 1].vehicle.state.speed - self.vehicles[idx].vehicle.state.speed)
+    }
+
+    /// Whether vehicle `idx` is not `sender` and its body covers road
+    /// position `claimed`, so `sender` cannot stand there (Convoy-style
+    /// co-location evidence).
+    pub fn occupies(&self, idx: usize, sender: PrincipalId, claimed: f64) -> bool {
+        let v = &self.vehicles[idx];
+        v.principal != sender
+            && (v.vehicle.state.position - claimed).abs() < v.vehicle.params.length * 0.5
+    }
+
+    /// Whether any vehicle other than `sender` covers road position
+    /// `claimed` ([`Self::occupies`] over the whole fleet).
+    pub fn colocation_conflict(&self, sender: PrincipalId, claimed: f64) -> bool {
+        (0..self.vehicles.len()).any(|i| self.occupies(i, sender, claimed))
+    }
+
+    /// The median power, in dBm, at which vehicle `rx_idx` would receive a
+    /// DSRC frame sent at the default power from road position `claimed`:
+    /// what an RF frame's RSSI should be if its claim is true.
+    pub fn expected_rssi_dbm(&self, rx_idx: usize, claimed: f64) -> f64 {
+        let d = distance((claimed, 0.0), self.vehicles[rx_idx].position());
+        let dsrc = &self.medium.dsrc;
+        dsrc.median_rx_power_dbm(dsrc.default_tx_power_dbm, d)
     }
 
     /// Platoon-local index of vehicle `idx`: how many vehicles ahead of it

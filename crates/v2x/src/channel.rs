@@ -59,14 +59,6 @@ impl DsrcPhy {
             .sample_rx_power_dbm(tx_power_dbm, dist_m, rng)
     }
 
-    /// The distance at which the median received power hits the decoding
-    /// threshold (SINR threshold over noise alone) — the nominal radio range.
-    pub fn nominal_range_m(&self, tx_power_dbm: f64) -> f64 {
-        let budget =
-            tx_power_dbm - self.reference_loss_db - self.noise_floor_dbm - self.sinr_threshold_db;
-        10f64.powf(budget / (10.0 * self.path_loss_exponent))
-    }
-
     /// Whether a signal at `signal_dbm` decodes against `interference_mw`
     /// milliwatts of co-channel interference.
     pub fn decodes(&self, signal_dbm: f64, interference_mw: f64) -> bool {
@@ -214,17 +206,6 @@ mod tests {
         assert!(p10 > p100 && p100 > p1000);
         // Per decade: 10·n dB.
         assert!((p10 - p100 - 22.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nominal_range_is_plausible_for_dsrc() {
-        let phy = DsrcPhy::default();
-        let range = phy.nominal_range_m(phy.default_tx_power_dbm);
-        // 802.11p at 20 dBm typically reaches several hundred metres.
-        assert!(
-            (200.0..2000.0).contains(&range),
-            "implausible nominal range {range} m"
-        );
     }
 
     #[test]
