@@ -6,10 +6,14 @@
 //! key; RSUs and platoon leaders verify certificates before admitting a
 //! vehicle; the TA revokes certificates of misbehaving or compromised
 //! vehicles (the impersonation and Sybil defenses both hinge on this).
+//!
+//! A receiver that sees the same certificates over and over (every frame
+//! of a platoon carries its sender's) keeps a [`CertificateMemo`], so each
+//! certificate's CA signature is checked once, not at every delivery.
 
 use crate::keys::{KeyId, KeyPair, PublicKey};
 use crate::signature::{Signature, Signer};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// Identity of a principal in the vehicular network (vehicle, RSU or TA).
@@ -94,6 +98,19 @@ impl Certificate {
         buf.extend_from_slice(&not_after.to_be_bytes());
         buf.extend_from_slice(&issuer.0.to_be_bytes());
         buf
+    }
+
+    /// Whether the issuer's signature over the other fields verifies under
+    /// `authority_key`.
+    fn signature_verifies(&self, authority_key: &PublicKey) -> bool {
+        let tbs = Certificate::to_be_signed(
+            self.subject,
+            &self.public_key,
+            self.not_before,
+            self.not_after,
+            self.issuer,
+        );
+        self.signature.verify(authority_key, &tbs)
     }
 }
 
@@ -192,14 +209,17 @@ impl CertificateAuthority {
         if self.revokes(cert) {
             return Err(CertError::Revoked);
         }
-        verify_certificate(cert, &self.public(), self.id, now)
+        verify_certificate(cert, &self.public(), self.id, now, None)
     }
 }
 
-/// Stateless certificate verification against a known authority key.
+/// Certificate verification against a known authority key.
 ///
 /// This is what vehicles and RSUs run: they know the TA's public key and the
 /// latest revocation list they fetched, and check certificates locally.
+/// With a `memo`, the signature step is answered from it for a certificate
+/// whose signature has verified under `authority_key` before; the issuer
+/// and validity checks run on every call either way.
 ///
 /// # Errors
 ///
@@ -210,6 +230,7 @@ pub fn verify_certificate(
     authority_key: &PublicKey,
     authority_id: PrincipalId,
     now: f64,
+    memo: Option<&mut CertificateMemo>,
 ) -> Result<(), CertError> {
     if cert.issuer != authority_id {
         return Err(CertError::UnknownIssuer);
@@ -217,17 +238,103 @@ pub fn verify_certificate(
     if now < cert.not_before || now > cert.not_after {
         return Err(CertError::Expired);
     }
-    let tbs = Certificate::to_be_signed(
-        cert.subject,
-        &cert.public_key,
-        cert.not_before,
-        cert.not_after,
-        cert.issuer,
-    );
-    if cert.signature.verify(authority_key, &tbs) {
+    let verified = match memo {
+        Some(memo) => memo.signature_verifies(cert, authority_key),
+        None => cert.signature_verifies(authority_key),
+    };
+    if verified {
         Ok(())
     } else {
         Err(CertError::BadSignature)
+    }
+}
+
+/// The certificates whose CA signature has verified, each with the
+/// authority key it verified under: the signature step of
+/// [`verify_certificate`], remembered.
+///
+/// The signature covers every field of the certificate, so an entry is
+/// the whole certificate (validity bounds as bits, the signature's `r` and
+/// `s`) plus the authority key, and a certificate that differs from a
+/// remembered one in any bit is checked in full. Only a signature that
+/// verifies enters, and entries stop at [`Self::CAP`], so forged
+/// certificates can never grow the memo.
+///
+/// # Examples
+///
+/// ```
+/// use platoon_crypto::cert::{verify_certificate, CertificateAuthority, CertificateMemo, PrincipalId};
+/// use platoon_crypto::keys::KeyPair;
+///
+/// let mut ca = CertificateAuthority::new(PrincipalId(0), KeyPair::from_seed(0));
+/// let cert = ca.issue(PrincipalId(1), KeyPair::from_seed(1).public(), 0.0, 100.0);
+/// let mut memo = CertificateMemo::new();
+/// let check = |memo: &mut CertificateMemo, now| {
+///     verify_certificate(&cert, &ca.public(), ca.id(), now, Some(memo))
+/// };
+/// assert!(check(&mut memo, 10.0).is_ok());
+/// assert!(memo.contains(&cert, &ca.public()));
+/// // A remembered signature does not extend the validity window.
+/// assert!(check(&mut memo, 150.0).is_err());
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct CertificateMemo {
+    verified: BTreeSet<[u64; 8]>,
+}
+
+impl CertificateMemo {
+    /// Most certificates a memo remembers. Past it, a certificate not yet
+    /// remembered is checked in full at every presentation.
+    pub const CAP: usize = 4096;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of remembered certificates.
+    pub fn len(&self) -> usize {
+        self.verified.len()
+    }
+
+    /// Whether no certificate is remembered.
+    pub fn is_empty(&self) -> bool {
+        self.verified.is_empty()
+    }
+
+    /// Whether `cert`'s signature is remembered as verified under
+    /// `authority_key`.
+    pub fn contains(&self, cert: &Certificate, authority_key: &PublicKey) -> bool {
+        self.verified.contains(&Self::entry(cert, authority_key))
+    }
+
+    /// The subject first: it tells a run's certificates apart at the
+    /// first word compared.
+    fn entry(cert: &Certificate, authority_key: &PublicKey) -> [u64; 8] {
+        [
+            cert.subject.0,
+            cert.public_key.element(),
+            cert.not_before.to_bits(),
+            cert.not_after.to_bits(),
+            cert.issuer.0,
+            cert.signature.r,
+            cert.signature.s,
+            authority_key.element(),
+        ]
+    }
+
+    /// The signature step: a hit, or the full check, remembered when it
+    /// passes and the memo is under its cap.
+    fn signature_verifies(&mut self, cert: &Certificate, authority_key: &PublicKey) -> bool {
+        let entry = Self::entry(cert, authority_key);
+        if self.verified.contains(&entry) {
+            return true;
+        }
+        let verified = cert.signature_verifies(authority_key);
+        if verified && self.verified.len() < Self::CAP {
+            self.verified.insert(entry);
+        }
+        verified
     }
 }
 
@@ -318,7 +425,7 @@ mod tests {
             ..good
         };
         assert_eq!(
-            verify_certificate(&forged, &ca.public(), ca.id(), 1.0),
+            verify_certificate(&forged, &ca.public(), ca.id(), 1.0, None),
             Err(CertError::BadSignature)
         );
     }
@@ -330,7 +437,7 @@ mod tests {
         let real = ca();
         // Verifier expects the real authority id.
         assert_eq!(
-            verify_certificate(&cert, &real.public(), real.id(), 1.0),
+            verify_certificate(&cert, &real.public(), real.id(), 1.0, None),
             Err(CertError::UnknownIssuer)
         );
         // Even claiming the right issuer id fails the signature.
@@ -339,7 +446,7 @@ mod tests {
             ..cert
         };
         assert_eq!(
-            verify_certificate(&cert2, &real.public(), real.id(), 1.0),
+            verify_certificate(&cert2, &real.public(), real.id(), 1.0, None),
             Err(CertError::BadSignature)
         );
     }
@@ -356,6 +463,102 @@ mod tests {
         assert!(!a.is_empty());
     }
 
+    /// Every single-field change a forger can make to `good`, each but the
+    /// issuer's with the original signature.
+    fn tampered(good: &Certificate) -> Vec<Certificate> {
+        let sig = |r: u64, s: u64| Signature { r, s };
+        vec![
+            Certificate {
+                subject: PrincipalId(good.subject.0 + 1),
+                ..*good
+            },
+            Certificate {
+                public_key: KeyPair::from_seed(99).public(),
+                ..*good
+            },
+            Certificate {
+                not_before: -1.0,
+                ..*good
+            },
+            Certificate {
+                not_after: good.not_after * 10.0,
+                ..*good
+            },
+            Certificate {
+                issuer: PrincipalId(good.issuer.0 + 1),
+                ..*good
+            },
+            Certificate {
+                signature: sig(good.signature.r ^ 1, good.signature.s),
+                ..*good
+            },
+            Certificate {
+                signature: sig(good.signature.r, good.signature.s ^ 1),
+                ..*good
+            },
+        ]
+    }
+
+    #[test]
+    fn memo_reaches_the_full_check_verdict_cold_and_warm() {
+        let mut ca = ca();
+        let good = ca.issue(PrincipalId(5), KeyPair::from_seed(5).public(), 0.0, 100.0);
+        let mut certs = vec![good];
+        certs.extend(tampered(&good));
+        let other_key = KeyPair::from_seed(1001).public();
+        let mut memo = CertificateMemo::new();
+        for pass in 0..2 {
+            for cert in &certs {
+                for now in [-5.0, 0.0, 50.0, 100.0, 150.0] {
+                    for key in [ca.public(), other_key] {
+                        let want = verify_certificate(cert, &key, ca.id(), now, None);
+                        let got = verify_certificate(cert, &key, ca.id(), now, Some(&mut memo));
+                        assert_eq!(got, want, "pass {pass}, {cert:?} at {now} under {key:?}");
+                    }
+                }
+            }
+        }
+        // Only the genuine certificate under its own authority's key entered.
+        assert_eq!(memo.len(), 1);
+        assert!(memo.contains(&good, &ca.public()));
+        assert!(!memo.contains(&good, &other_key));
+    }
+
+    #[test]
+    fn memo_stops_remembering_at_its_cap() {
+        let mut ca = ca();
+        let key = KeyPair::from_seed(7).public();
+        let certs: Vec<Certificate> = (0..CertificateMemo::CAP as u64 + 3)
+            .map(|subject| ca.issue(PrincipalId(subject), key, 0.0, 100.0))
+            .collect();
+        let mut memo = CertificateMemo::new();
+        for cert in &certs {
+            assert_eq!(
+                verify_certificate(cert, &ca.public(), ca.id(), 1.0, Some(&mut memo)),
+                Ok(())
+            );
+        }
+        assert_eq!(memo.len(), CertificateMemo::CAP);
+        let (kept, over) = certs.split_at(CertificateMemo::CAP);
+        assert!(kept.iter().all(|c| memo.contains(c, &ca.public())));
+        // Past the cap a certificate is checked in full every time: still
+        // accepted, still not remembered, and forgeries of it still fail.
+        for cert in over {
+            assert_eq!(
+                verify_certificate(cert, &ca.public(), ca.id(), 1.0, Some(&mut memo)),
+                Ok(())
+            );
+            assert!(!memo.contains(cert, &ca.public()));
+            for forged in tampered(cert) {
+                assert!(
+                    verify_certificate(&forged, &ca.public(), ca.id(), 1.0, Some(&mut memo))
+                        .is_err()
+                );
+            }
+        }
+        assert_eq!(memo.len(), CertificateMemo::CAP);
+    }
+
     #[test]
     fn subject_tamper_detected() {
         let mut ca = ca();
@@ -365,7 +568,7 @@ mod tests {
             ..good
         };
         assert_eq!(
-            verify_certificate(&forged, &ca.public(), ca.id(), 1.0),
+            verify_certificate(&forged, &ca.public(), ca.id(), 1.0, None),
             Err(CertError::BadSignature)
         );
     }

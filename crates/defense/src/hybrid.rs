@@ -17,10 +17,11 @@
 
 use platoon_crypto::cert::PrincipalId;
 use platoon_proto::messages::PlatoonMessage;
-use platoon_sim::defense::{Defense, RejectReason};
+use platoon_sim::defense::{Defense, DetectionEvent, RejectReason};
 use platoon_sim::world::World;
 use platoon_v2x::hash::FxHashMap;
 use platoon_v2x::message::{ChannelKind, Delivery, Payload};
+use rand::rngs::StdRng;
 use std::any::Any;
 
 /// Cross-channel validation policy.
@@ -122,10 +123,7 @@ impl Defense for HybridConfirmDefense {
             return Ok(());
         }
 
-        // Garbage-collect stale entries opportunistically.
         let window = self.config.window;
-        self.seen.retain(|_, (_, t)| now - *t <= window + 1.0);
-
         let key = (receiver_idx, delivery.payload.clone());
         match self.seen.get(&key) {
             Some(&(first_channel, t)) if first_channel != delivery.channel && now - t <= window => {
@@ -142,6 +140,16 @@ impl Defense for HybridConfirmDefense {
         }
     }
 
+    /// Forgets stale sightings once per step, after the delivery round and
+    /// at its time. A sighting older than the window takes the same branch
+    /// in `filter_rx` as a missing one, and the insert overwrites it, so
+    /// when it is forgotten never changes a verdict.
+    fn on_step(&mut self, world: &mut World, _rng: &mut StdRng) -> Vec<DetectionEvent> {
+        let (now, window) = (world.time, self.config.window);
+        self.seen.retain(|_, (_, t)| now - *t <= window + 1.0);
+        Vec::new()
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -155,7 +163,143 @@ impl Defense for HybridConfirmDefense {
 mod tests {
     use super::*;
     use platoon_attacks::prelude::*;
+    use platoon_proto::messages::{Beacon, PlatoonId, Role};
     use platoon_sim::prelude::*;
+    use platoon_v2x::message::NodeId;
+    use rand::{Rng, SeedableRng};
+
+    /// The defense as it was with its stale sightings forgotten at every
+    /// manoeuvre delivery. Counts why each delivery was held back.
+    #[derive(Default)]
+    struct PerDeliveryPrune {
+        window: f64,
+        seen: FxHashMap<(usize, Payload), (ChannelKind, f64)>,
+        confirmed: u64,
+        rejected: u64,
+        cross_channel_too_late: u64,
+        same_channel: u64,
+    }
+
+    impl PerDeliveryPrune {
+        fn filter_rx(
+            &mut self,
+            receiver_idx: usize,
+            delivery: &Delivery,
+            msg: &PlatoonMessage,
+            now: f64,
+        ) -> Result<(), RejectReason> {
+            if !msg.is_maneuver() {
+                return Ok(());
+            }
+            let window = self.window;
+            self.seen.retain(|_, (_, t)| now - *t <= window + 1.0);
+            let key = (receiver_idx, delivery.payload.clone());
+            match self.seen.get(&key) {
+                Some(&(first_channel, t))
+                    if first_channel != delivery.channel && now - t <= window =>
+                {
+                    self.confirmed += 1;
+                    Ok(())
+                }
+                held => {
+                    match held {
+                        Some(&(first_channel, _)) if first_channel != delivery.channel => {
+                            self.cross_channel_too_late += 1;
+                        }
+                        Some(_) => self.same_channel += 1,
+                        None => {}
+                    }
+                    self.seen.insert(key, (delivery.channel, now));
+                    self.rejected += 1;
+                    Err(RejectReason::Unconfirmed)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_once_per_step_keeps_every_per_delivery_verdict() {
+        let engine = Engine::new(Scenario::builder().vehicles(4).build());
+        let mut world = engine.world().clone();
+        let mut defense = HybridConfirmDefense::new(HybridConfig::default());
+        let mut reference = PerDeliveryPrune {
+            window: defense.config.window,
+            ..Default::default()
+        };
+        // A small pool of manoeuvre payloads, so the same bytes come back
+        // on both channels within the window, after it, and long after.
+        let messages: Vec<PlatoonMessage> = (0..5)
+            .map(|i| PlatoonMessage::JoinRequest {
+                requester: PrincipalId(700 + i),
+                platoon: PlatoonId(1),
+                position: 10.0 * i as f64,
+                timestamp: 0.5 * i as f64,
+            })
+            .collect();
+        let payloads: Vec<Payload> = messages.iter().map(|m| m.encode().into()).collect();
+        let beacon = PlatoonMessage::Beacon(Beacon {
+            sender: PrincipalId(0),
+            platoon: PlatoonId(1),
+            role: Role::Leader,
+            seq: 1,
+            timestamp: 0.0,
+            position: 100.0,
+            speed: 25.0,
+            accel: 0.0,
+            length: 16.5,
+        });
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut forgotten = 0;
+        // Steps of uneven length, so copies arrive at every gap around the
+        // window, with steps (and their prunes) in between.
+        for step in 0..1_000 {
+            world.time += rng.gen_range(0.01..0.1);
+            let now = world.time;
+            for _ in 0..rng.gen_range(0..4) {
+                let i = rng.gen_range(0..messages.len());
+                let receiver = rng.gen_range(0..3);
+                let channel = if rng.gen_bool(0.5) {
+                    ChannelKind::Dsrc
+                } else {
+                    ChannelKind::Vlc
+                };
+                let delivery = Delivery {
+                    sender: NodeId(0),
+                    receiver: NodeId(receiver as u64 + 1),
+                    frame: 0,
+                    channel,
+                    latency: 0.001,
+                    rssi_dbm: -60.0,
+                    payload: payloads[i].clone(),
+                };
+                let msg = if rng.gen_bool(0.1) {
+                    &beacon
+                } else {
+                    &messages[i]
+                };
+                let got = defense.filter_rx(receiver, &world, &delivery, PrincipalId(0), msg, now);
+                let want = reference.filter_rx(receiver, &delivery, msg, now);
+                assert_eq!(got, want, "step {step}, payload {i}, receiver {receiver}");
+            }
+            let before = defense.seen.len();
+            assert!(defense.on_step(&mut world, &mut rng).is_empty());
+            forgotten += before - defense.seen.len();
+        }
+        assert_eq!(
+            (defense.confirmed(), defense.rejected()),
+            (reference.confirmed, reference.rejected)
+        );
+        assert!(
+            reference.confirmed > 0,
+            "cross-channel copies inside the window"
+        );
+        assert!(
+            reference.cross_channel_too_late > 0,
+            "cross-channel copies outside the window"
+        );
+        assert!(reference.same_channel > 0, "same-channel copies");
+        assert!(forgotten > 0, "stale sightings forgotten");
+    }
 
     fn scenario(label: &str, comms: CommsMode) -> Scenario {
         Scenario::builder()

@@ -9,10 +9,13 @@
 //!
 //! Tracks live in a vector in first-seen order and alerts are raised at
 //! ingest time, so the alert stream is a pure function of the evidence
-//! stream — no hash-map iteration anywhere.
+//! stream — no hash-map iteration anywhere. A hash index finds a target's
+//! track, so a join flood's thousands of identities cost one lookup per
+//! piece of evidence, not a scan.
 
 use crate::detector::Evidence;
 use platoon_crypto::cert::PrincipalId;
+use platoon_v2x::hash::FxHashMap;
 
 /// Who an alert or a piece of evidence implicates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,11 +83,33 @@ struct Track {
     contributors: Vec<(&'static str, f64)>,
 }
 
+/// The last decay factor computed, with the bits of its `dt`: within one
+/// [`Fusion::tick`] most tracks were last updated at the same time, so
+/// most share one factor.
+#[derive(Default)]
+struct LastFactor(Option<(u64, f64)>);
+
+impl LastFactor {
+    fn get(&mut self, dt: f64, half_life: f64) -> f64 {
+        match self.0 {
+            Some((bits, factor)) if bits == dt.to_bits() => factor,
+            _ => {
+                let factor = 0.5f64.powf(dt / half_life);
+                self.0 = Some((dt.to_bits(), factor));
+                factor
+            }
+        }
+    }
+}
+
 /// The fusion engine: per-target decaying scores with hysteresis.
 #[derive(Clone, Debug)]
 pub struct Fusion {
     config: FusionConfig,
+    /// In first-seen order.
     tracks: Vec<Track>,
+    /// Each target's position in `tracks`, for lookups only.
+    index: FxHashMap<AlertTarget, usize>,
 }
 
 impl Fusion {
@@ -93,13 +118,14 @@ impl Fusion {
         Fusion {
             config,
             tracks: Vec::new(),
+            index: FxHashMap::default(),
         }
     }
 
-    fn decay(config: &FusionConfig, track: &mut Track, now: f64) {
+    fn decay(config: &FusionConfig, track: &mut Track, now: f64, factors: &mut LastFactor) {
         let dt = now - track.last_update;
         if dt > 0.0 && config.half_life > 0.0 {
-            let factor = 0.5f64.powf(dt / config.half_life);
+            let factor = factors.get(dt, config.half_life);
             track.score *= factor;
             for (_, c) in &mut track.contributors {
                 *c *= factor;
@@ -115,21 +141,19 @@ impl Fusion {
     /// just crossed the raise threshold.
     pub fn ingest(&mut self, evidence: &Evidence) -> Option<Alert> {
         let config = &self.config;
-        let idx = match self.tracks.iter().position(|t| t.target == evidence.target) {
-            Some(idx) => idx,
-            None => {
-                self.tracks.push(Track {
-                    target: evidence.target,
-                    score: 0.0,
-                    last_update: evidence.time,
-                    flagged: false,
-                    contributors: Vec::new(),
-                });
-                self.tracks.len() - 1
-            }
-        };
+        let tracks = &mut self.tracks;
+        let idx = *self.index.entry(evidence.target).or_insert_with(|| {
+            tracks.push(Track {
+                target: evidence.target,
+                score: 0.0,
+                last_update: evidence.time,
+                flagged: false,
+                contributors: Vec::new(),
+            });
+            tracks.len() - 1
+        });
         let track = &mut self.tracks[idx];
-        Self::decay(config, track, evidence.time);
+        Self::decay(config, track, evidence.time, &mut LastFactor::default());
         let add = config.weight(evidence.detector) * evidence.strength;
         track.score += add;
         match track
@@ -154,23 +178,24 @@ impl Fusion {
 
     /// Advances time: decays all tracks and re-arms any that cleared.
     pub fn tick(&mut self, now: f64) {
+        let mut factors = LastFactor::default();
         for track in &mut self.tracks {
-            Self::decay(&self.config, track, now);
+            Self::decay(&self.config, track, now, &mut factors);
         }
+    }
+
+    fn track(&self, target: AlertTarget) -> Option<&Track> {
+        self.index.get(&target).map(|&idx| &self.tracks[idx])
     }
 
     /// Current fused score for a target (0.0 if never seen).
     pub fn score(&self, target: AlertTarget) -> f64 {
-        self.tracks
-            .iter()
-            .find(|t| t.target == target)
-            .map(|t| t.score)
-            .unwrap_or(0.0)
+        self.track(target).map_or(0.0, |t| t.score)
     }
 
     /// Whether a target is currently flagged (alerted, not yet cleared).
     pub fn is_flagged(&self, target: AlertTarget) -> bool {
-        self.tracks.iter().any(|t| t.target == target && t.flagged)
+        self.track(target).is_some_and(|t| t.flagged)
     }
 }
 

@@ -25,7 +25,7 @@ use crate::fusion::AlertTarget;
 use crate::observation::{AuthMeta, BeaconObservation, ControlObservation};
 use platoon_crypto::cert::PrincipalId;
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Tuning for the identity-consistency detector.
 #[derive(Clone, Debug)]
@@ -63,8 +63,10 @@ impl Default for IdentityConfig {
 pub struct IdentityDetector {
     config: IdentityConfig,
     // First-sighting times of identities seen after warmup, pruned to the
-    // sliding window, in sighting order.
-    recent_new: Vec<(f64, u64)>,
+    // sliding window, in sighting order. Observations arrive in reception
+    // order, so the times never decrease and the window only ever loses
+    // its front.
+    recent_new: VecDeque<(f64, u64)>,
     seen: BTreeMap<u64, f64>,
     // Identities implicated by a burst, with the implication time.
     burst_tagged: BTreeMap<u64, f64>,
@@ -120,9 +122,15 @@ impl IdentityDetector {
         if let Entry::Vacant(slot) = self.seen.entry(sender.0) {
             slot.insert(time);
             if time >= self.config.warmup {
-                self.recent_new
-                    .retain(|(t, _)| time - *t <= self.config.new_id_window);
-                self.recent_new.push((time, sender.0));
+                debug_assert!(self.recent_new.back().is_none_or(|&(t, _)| t <= time));
+                while self
+                    .recent_new
+                    .front()
+                    .is_some_and(|&(t, _)| time - t > self.config.new_id_window)
+                {
+                    self.recent_new.pop_front();
+                }
+                self.recent_new.push_back((time, sender.0));
                 if self.recent_new.len() == self.config.new_id_limit + 1 {
                     // Burst opens: implicate every identity in the window.
                     let tagged: Vec<u64> = self.recent_new.iter().map(|(_, id)| *id).collect();

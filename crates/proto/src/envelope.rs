@@ -15,7 +15,9 @@
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::messages::PlatoonMessage;
-use platoon_crypto::cert::{verify_certificate, CertError, Certificate, PrincipalId};
+use platoon_crypto::cert::{
+    verify_certificate, CertError, Certificate, CertificateMemo, PrincipalId,
+};
 use platoon_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use platoon_crypto::keys::{PublicKey, SymmetricKey};
 use platoon_crypto::sha256::Digest;
@@ -208,13 +210,15 @@ impl Envelope {
         authority_id: PrincipalId,
         now: f64,
     ) -> Result<PlatoonMessage, AuthError> {
-        self.check_signed(authority_key, authority_id, now)?;
+        self.check_signed(authority_key, authority_id, now, None)?;
         self.open_unverified()
             .map_err(|_| AuthError::BadAuthenticator)
     }
 
     /// Checks a signed envelope against the trust anchor, without decoding
-    /// the inner message.
+    /// the inner message. A receiver that keeps a `memo` checks each
+    /// certificate's CA signature once ([`verify_certificate`]); every
+    /// other check runs on every call.
     ///
     /// # Errors
     ///
@@ -226,6 +230,7 @@ impl Envelope {
         authority_key: &PublicKey,
         authority_id: PrincipalId,
         now: f64,
+        memo: Option<&mut CertificateMemo>,
     ) -> Result<(), AuthError> {
         let AuthScheme::Signed {
             signature,
@@ -234,7 +239,7 @@ impl Envelope {
         else {
             return Err(AuthError::WrongScheme);
         };
-        verify_certificate(certificate, authority_key, authority_id, now)
+        verify_certificate(certificate, authority_key, authority_id, now, memo)
             .map_err(AuthError::BadCertificate)?;
         if certificate.subject != self.sender {
             return Err(AuthError::SenderMismatch);

@@ -163,7 +163,7 @@ fn corrupted_authenticated_frames_never_verify() {
         )),
         AuthScheme::Signed { .. } => Some((
             env.verify_signed(&ca.public(), ca.id(), 50.0).is_ok(),
-            env.check_signed(&ca.public(), ca.id(), 50.0).is_ok(),
+            env.check_signed(&ca.public(), ca.id(), 50.0, None).is_ok(),
         )),
     };
     let mut decoded = 0;

@@ -28,7 +28,7 @@ use crate::regime::{steps_for, RegimeState};
 use crate::scenario::{AuthMode, CommsMode, ControllerKind, Scenario};
 use crate::trace::{TraceDetail, TracePhase, TraceRecord, TraceRecorder};
 use crate::world::{AuthMaterial, CommState, HeardPeer, PlatoonLayout, Rsu, VehicleNode, World};
-use platoon_crypto::cert::{CertificateAuthority, PrincipalId};
+use platoon_crypto::cert::{CertificateAuthority, CertificateMemo, PrincipalId};
 use platoon_crypto::keys::{KeyPair, SymmetricKey};
 use platoon_crypto::signature::Signer;
 use platoon_detect::fusion::{Alert, AlertTarget};
@@ -267,6 +267,10 @@ pub struct Engine {
     scenario: Scenario,
     world: World,
     ca: CertificateAuthority,
+    /// Certificates whose CA signature has verified this run, so each is
+    /// checked once, not at every delivery ([`Self::authenticate`]). Not
+    /// run-visible state: it only skips work that would pass again.
+    verified_certs: CertificateMemo,
     group_key: SymmetricKey,
     maneuvers: ManeuverEngine,
     attacks: Vec<Box<dyn Attack>>,
@@ -421,6 +425,7 @@ impl Engine {
         Engine {
             world: World::new(vehicles, rsus, medium, Vec::new()),
             ca,
+            verified_certs: CertificateMemo::new(),
             group_key,
             maneuvers,
             attacks: Vec::new(),
@@ -892,6 +897,7 @@ impl Engine {
             scenario: self.scenario.clone(),
             world: self.world.clone(),
             ca: self.ca.clone(),
+            verified_certs: self.verified_certs.clone(),
             group_key: self.group_key,
             maneuvers: self.maneuvers.clone(),
             attacks,
@@ -1354,8 +1360,11 @@ impl Engine {
 
     /// Engine-level authentication per the deployed key scheme: checks the
     /// authenticator only. The message is opened once per frame
-    /// ([`Self::open_body`]).
-    fn authenticate(&self, env: &Envelope, now: f64) -> Result<(), RejectReason> {
+    /// ([`Self::open_body`]). Under PKI every delivery runs, in order:
+    /// revocation, the certificate's issuer and validity window, its CA
+    /// signature (once per certificate per run, through `verified_certs`),
+    /// the subject match and the message's own signature.
+    fn authenticate(&mut self, env: &Envelope, now: f64) -> Result<(), RejectReason> {
         match self.scenario.auth {
             AuthMode::None => Ok(()),
             AuthMode::GroupMac => env
@@ -1370,7 +1379,8 @@ impl Engine {
                         return Err(RejectReason::Distrusted);
                     }
                 }
-                env.check_signed(&self.ca.public(), self.ca.id(), now)
+                let (key, id) = (self.ca.public(), self.ca.id());
+                env.check_signed(&key, id, now, Some(&mut self.verified_certs))
                     .map_err(|_| RejectReason::AuthFailed)
             }
         }
@@ -2251,6 +2261,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use platoon_crypto::cert::Certificate;
     use platoon_crypto::hmac::hmac_sha256;
     use platoon_crypto::signature::Signature;
     use platoon_proto::envelope::AuthScheme;
@@ -2284,9 +2295,9 @@ mod tests {
 
     /// Envelopes of every scheme from principal 1, each valid and spoiled
     /// in every way a verdict can tell apart, with the time each is checked
-    /// at. Certificates come from `engine`'s authority, valid on [0, 100];
-    /// one of them is revoked.
-    fn verdict_cases(engine: &mut Engine) -> Vec<(String, Envelope, f64)> {
+    /// at, and principal 1's certificate. Certificates come from `engine`'s
+    /// authority, valid on [0, 100]; one of them is revoked.
+    fn verdict_cases(engine: &mut Engine) -> (Vec<(String, Envelope, f64)>, Certificate) {
         let sender = PrincipalId(1);
         let key = engine.group_key();
         let msg = PlatoonMessage::Beacon(Beacon {
@@ -2341,7 +2352,7 @@ mod tests {
         assert!(empty_encrypted.check_encrypted(&key).is_ok());
         let ca = engine.ca();
         assert!(empty_signed
-            .check_signed(&ca.public(), ca.id(), 10.0)
+            .check_signed(&ca.public(), ca.id(), 10.0, None)
             .is_ok());
 
         let schemes = [
@@ -2405,7 +2416,69 @@ mod tests {
             Envelope::sign(sender, &msg, &Signer::new(revoked_keys), revoked),
             10.0,
         ));
+        // A certificate the memo has accepted, presented again: past its
+        // window, copied with a later `not_after` or another issuer id under
+        // the original signature, and carried by another principal that
+        // signs its own message.
+        let stretched = Certificate {
+            not_after: 1000.0,
+            ..certificate
+        };
+        let reissued = Certificate {
+            issuer: PrincipalId(engine.ca().id().0 + 1),
+            ..certificate
+        };
+        let other = Signer::new(KeyPair::from_seed(79));
+        cases.extend([
+            (
+                "signed: valid at 5".to_string(),
+                Envelope::sign(sender, &msg, &signer, certificate),
+                5.0,
+            ),
+            (
+                "signed: the same certificate at 150, past not_after".to_string(),
+                Envelope::sign(sender, &msg, &signer, certificate),
+                150.0,
+            ),
+            (
+                "signed: not_after extended, original signature".to_string(),
+                Envelope::sign(sender, &msg, &signer, stretched),
+                10.0,
+            ),
+            (
+                "signed: issuer changed".to_string(),
+                Envelope::sign(sender, &msg, &signer, reissued),
+                10.0,
+            ),
+            (
+                "signed: certificate under another sender".to_string(),
+                Envelope::sign(PrincipalId(2), &msg, &other, certificate),
+                10.0,
+            ),
+        ]);
+        (cases, certificate)
+    }
+
+    /// Each case's verdict from the per-frame body and the per-delivery
+    /// check, asserted equal to [`authenticate_in_one`]'s.
+    fn checked_verdicts(
+        engine: &mut Engine,
+        cases: &[(String, Envelope, f64)],
+        pass: &str,
+    ) -> Vec<Result<PlatoonMessage, RejectReason>> {
+        let mode = engine.scenario.auth;
         cases
+            .iter()
+            .map(|(case, env, now)| {
+                let want = authenticate_in_one(engine, env, *now);
+                let body = engine.open_body(env);
+                let got = engine
+                    .authenticate(env, *now)
+                    .and_then(|()| body.ok_or(RejectReason::AuthFailed));
+                assert_eq!(got, want, "{mode:?}, {pass}, {case}");
+                got
+            })
+            .collect()
     }
 
     #[test]
@@ -2417,24 +2490,183 @@ mod tests {
             AuthMode::Pki,
         ];
         let mut accepted = 0;
-        let mut distrusted = 0;
         for mode in modes {
-            let mut engine = Engine::new(Scenario::builder().vehicles(3).auth(mode).build());
-            for (case, env, now) in verdict_cases(&mut engine) {
-                let want = authenticate_in_one(&engine, &env, now);
-                let body = engine.open_body(&env);
-                let got = engine
-                    .authenticate(&env, now)
-                    .and_then(|()| body.ok_or(RejectReason::AuthFailed));
-                assert_eq!(got, want, "{mode:?}, {case}");
-                accepted += usize::from(got.is_ok());
-                distrusted += usize::from(got == Err(RejectReason::Distrusted));
+            // Each order starts from a cold certificate memo and runs every
+            // case twice, so each case meets the memo cold and warm.
+            for reverse in [false, true] {
+                let mut engine = Engine::new(Scenario::builder().vehicles(3).auth(mode).build());
+                let (mut cases, certificate) = verdict_cases(&mut engine);
+                if reverse {
+                    cases.reverse();
+                }
+                let cold = checked_verdicts(&mut engine, &cases, "cold");
+                let warm = checked_verdicts(&mut engine, &cases, "warm");
+                assert_eq!(cold, warm, "{mode:?}");
+                // Revoking a certificate the memo has accepted distrusts it
+                // at once.
+                engine.ca_mut().revoke(certificate.serial());
+                let revoked = checked_verdicts(&mut engine, &cases, "revoked");
+                let verdict = |verdicts: &[Result<PlatoonMessage, RejectReason>], name: &str| {
+                    let at = cases.iter().position(|(case, ..)| case == name);
+                    verdicts[at.expect("case exists")].clone()
+                };
+                if mode == AuthMode::Pki {
+                    assert_eq!(
+                        engine.verified_certs.len(),
+                        1,
+                        "only principal 1's certificate passes its CA check"
+                    );
+                    assert!(verdict(&warm, "signed: valid").is_ok());
+                    assert_eq!(
+                        verdict(&warm, "signed: revoked certificate"),
+                        Err(RejectReason::Distrusted)
+                    );
+                    for name in [
+                        "signed: the same certificate at 150, past not_after",
+                        "signed: not_after extended, original signature",
+                        "signed: issuer changed",
+                        "signed: certificate under another sender",
+                    ] {
+                        assert_eq!(
+                            verdict(&warm, name),
+                            Err(RejectReason::AuthFailed),
+                            "{name}"
+                        );
+                    }
+                    assert_eq!(
+                        verdict(&revoked, "signed: valid"),
+                        Err(RejectReason::Distrusted)
+                    );
+                } else {
+                    assert_eq!(revoked, warm, "{mode:?}: revocation is PKI's alone");
+                }
+                accepted += cold.iter().filter(|v| v.is_ok()).count();
             }
         }
-        // Every mode accepts its own valid scheme, and PKI tells a revoked
-        // certificate apart from a bad one.
-        assert!(accepted >= 4, "accepted {accepted}");
-        assert_eq!(distrusted, 1);
+        // Every mode accepts its own valid scheme in both orders.
+        assert!(accepted >= 8, "accepted {accepted}");
+    }
+
+    /// Puts beacons of vehicle 1 on the air every step whose certificates
+    /// fail their CA check: its own certificate with `not_after` extended
+    /// under the original signature, and one from a rogue authority that
+    /// claims the real authority's id.
+    #[derive(Debug)]
+    struct ForgedCertificates;
+
+    impl Attack for ForgedCertificates {
+        fn name(&self) -> &'static str {
+            "forged-certificates"
+        }
+
+        fn attribute(&self) -> crate::attack::SecurityAttribute {
+            crate::attack::SecurityAttribute::Authenticity
+        }
+
+        fn on_air(&mut self, world: &mut World, _rng: &mut StdRng, frames: &mut Vec<Frame>) {
+            let v = &world.vehicles[1];
+            let AuthMaterial::Pki {
+                signer,
+                certificate,
+            } = &v.auth
+            else {
+                return;
+            };
+            let mut rogue = CertificateAuthority::new(certificate.issuer, KeyPair::from_seed(666));
+            let forged = [
+                Certificate {
+                    not_after: certificate.not_after + 1000.0,
+                    ..*certificate
+                },
+                rogue.issue(v.principal, signer.public(), 0.0, 1e6),
+            ];
+            let msg = PlatoonMessage::Beacon(Beacon {
+                sender: v.principal,
+                platoon: v.platoon,
+                role: v.role,
+                seq: v.seq,
+                timestamp: world.time,
+                position: v.vehicle.state.position,
+                speed: v.vehicle.state.speed,
+                accel: v.vehicle.state.accel,
+                length: v.vehicle.params.length,
+            });
+            for certificate in forged {
+                let env = Envelope::sign(v.principal, &msg, signer, certificate);
+                frames.push(Frame {
+                    sender: NodeId(9_000),
+                    origin: v.position(),
+                    power_dbm: 20.0,
+                    channel: ChannelKind::Dsrc,
+                    payload: env.encode().into(),
+                });
+            }
+        }
+
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_pki_run_remembers_exactly_its_vehicles_certificates() {
+        let scenario = Scenario::builder()
+            .vehicles(8)
+            .auth(AuthMode::Pki)
+            .comms(CommsMode::HybridVlc)
+            .duration(5.0)
+            .build();
+        let mut engine = Engine::new(scenario);
+        engine.add_attack(Box::new(ForgedCertificates));
+        let summary = engine.run();
+        assert!(
+            summary.rejected_messages > 100,
+            "the forgeries reached receivers: {}",
+            summary.rejected_messages
+        );
+        let authority = engine.ca.public();
+        let certificates: Vec<Certificate> = engine
+            .world
+            .vehicles
+            .iter()
+            .map(|v| match &v.auth {
+                AuthMaterial::Pki { certificate, .. } => *certificate,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(certificates.len(), 8);
+        assert_eq!(engine.verified_certs.len(), 8);
+        for certificate in &certificates {
+            assert!(engine.verified_certs.contains(certificate, &authority));
+        }
+    }
+
+    #[test]
+    fn a_pki_engine_resumes_byte_identically_from_a_mid_run_snapshot() {
+        let build = || {
+            let scenario = Scenario::builder()
+                .vehicles(8)
+                .auth(AuthMode::Pki)
+                .comms(CommsMode::HybridVlc)
+                .duration(6.0)
+                .build();
+            let mut engine = Engine::new(scenario);
+            engine.attach_detector_config(PipelineConfig::default_profile());
+            engine.attach_tracer(TraceRecorder::new());
+            engine
+        };
+        let mut straight = build();
+        let want = straight.run();
+        let mut interrupted = build();
+        interrupted.fast_forward(30);
+        assert_eq!(interrupted.verified_certs.len(), 8, "the memo is warm");
+        let snapshot = interrupted.snapshot().expect("a PKI engine snapshots");
+        drop(interrupted);
+        let mut resumed = snapshot.restore().expect("the snapshot restores");
+        assert_eq!(resumed.run(), want);
+        assert!(want.trace.is_some());
+        assert_eq!(resumed.state_digest(), straight.state_digest());
+        assert_eq!(resumed.perf(), straight.perf());
     }
 
     #[test]

@@ -706,11 +706,15 @@ pub mod json {
 
         /// Finishes, returning the document — with a trailing newline when
         /// pretty, without one when compact (JSONL callers join lines
-        /// themselves).
+        /// themselves). The buffer is trimmed to the document, so a caller
+        /// that keeps many documents (perfbench keeps every episode's run
+        /// summary) holds no spare capacity: growth by doubling leaves up
+        /// to half of a buffer unused.
         pub fn finish(mut self) -> String {
             if self.pretty {
                 self.out.push('\n');
             }
+            self.out.shrink_to_fit();
             self.out
         }
 
@@ -1156,6 +1160,9 @@ mod tests {
         };
         let pretty = build(json::Writer::new());
         let compact = build(json::Writer::compact());
+        for doc in [&pretty, &compact] {
+            assert_eq!(doc.capacity(), doc.len(), "no spare buffer is kept");
+        }
         assert!(pretty.ends_with('\n'));
         assert!(!compact.contains('\n'), "compact output is one line");
         assert_eq!(
